@@ -323,7 +323,7 @@ fn load(path: &str) -> Result<CooTensor> {
 
 /// Loads through the typed `TensorSource` ingestion API. `.tns` honors the
 /// configured duplicate policy (default: reject); binary files keep entries
-/// verbatim, matching the legacy reader's semantics.
+/// verbatim, as the `SPT1` writer stored them.
 fn load_with(path: &str, opts: &sptensor::IngestOptions) -> Result<CooTensor> {
     let t = if path.ends_with(".tns") {
         let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
@@ -1494,6 +1494,36 @@ fn cmd_chaos(args: &[String]) -> Result<()> {
     Ok(())
 }
 
+/// A tensor entry that rules out non-negative CPD.
+#[derive(Debug, PartialEq)]
+struct NegativeEntry {
+    /// 0-based coordinates of the first offending nonzero.
+    coords: Vec<u32>,
+    value: f32,
+}
+
+impl std::fmt::Display for NegativeEntry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "--nonneg needs a non-negative tensor, but the entry at {:?} is {}",
+            self.coords, self.value
+        )
+    }
+}
+
+/// Finds the first negative (or NaN) value, which the multiplicative
+/// updates of non-negative CPD cannot accept.
+fn check_nonneg(t: &CooTensor) -> std::result::Result<(), NegativeEntry> {
+    match t.values().iter().position(|&v| v.is_nan() || v < 0.0) {
+        None => Ok(()),
+        Some(z) => Err(NegativeEntry {
+            coords: t.coords_of(z),
+            value: t.values()[z],
+        }),
+    }
+}
+
 fn cmd_cpd(args: &[String]) -> Result<()> {
     let path = args.first().ok_or("cpd: missing file")?;
     let t = load(path)?;
@@ -1550,6 +1580,9 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
              without --nonneg, --devices, --mem-capacity, or --mem-faults"
                 .into(),
         );
+    }
+    if nonneg {
+        check_nonneg(&t).map_err(|e| format!("{path}: {e}"))?;
     }
     let mut ctx = GpuContext::default();
     if profile_dir.is_some() {
@@ -1631,13 +1664,7 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
         let (run, report) = run_verified(&ctx, &t, factors, mode, &AbftOptions::default(), |c| {
             plans.plan(mode).execute_validated(c, factors)
         });
-        {
-            let mut rec = kernel_events.borrow_mut();
-            rec.faults_injected += report.faults_injected;
-            rec.rows_detected += report.detected_rows.len() as u64;
-            rec.kernel_retries += u64::from(report.retries);
-            rec.degraded_rows += report.degraded_rows;
-        }
+        kernel_events.borrow_mut().merge(&report.to_record());
         let y = run.y.clone();
         last_runs.borrow_mut()[mode] = Some(run);
         y
@@ -1741,17 +1768,14 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
         );
         res
     } else {
-        match (nonneg, profile_dir.is_some()) {
-            // With an event stream the impl path still runs so iteration
-            // events carry the simulated clock; the manifest is simply
-            // not written unless --profile asked for it.
-            (false, false) if ctx.telemetry.enabled() => {
-                cpd_als_profiled(&t, &opts, backend, &mut manifest, Some(&ctx))
-            }
+        // With an event stream the profiled path still runs so iteration
+        // events carry the simulated clock; the manifest is simply not
+        // written unless --profile asked for it.
+        match (nonneg, profile_dir.is_some() || ctx.telemetry.enabled()) {
             (false, false) => cpd_als(&t, &opts, backend),
             (true, false) => cpd_als_nonneg(&t, &opts, backend),
             (false, true) => cpd_als_profiled(&t, &opts, backend, &mut manifest, Some(&ctx)),
-            (true, true) => cpd_als_nonneg_profiled(&t, &opts, backend, &mut manifest),
+            (true, true) => cpd_als_nonneg_profiled(&t, &opts, backend, &mut manifest, Some(&ctx)),
         }
     };
     manifest.resilience.merge(&kernel_events.into_inner());
@@ -1901,4 +1925,75 @@ fn write_cpd_profile(
     )
     .map_err(io_err)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A scratch directory unique to this test process and `tag`.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sptk_cli_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn check_nonneg_names_the_first_negative_entry() {
+        let mut t = sptensor::synth::uniform_random(&[5, 6, 7], 40, 3);
+        assert_eq!(check_nonneg(&t), Ok(()));
+        t.values_mut()[7] = -0.5;
+        t.values_mut()[9] = -2.0;
+        let err = check_nonneg(&t).unwrap_err();
+        assert_eq!(err.coords, t.coords_of(7));
+        assert_eq!(err.value, -0.5);
+        t.values_mut()[2] = f32::NAN;
+        assert_eq!(check_nonneg(&t).unwrap_err().coords, t.coords_of(2));
+    }
+
+    #[test]
+    fn nonneg_cpd_rejects_a_negative_tensor_with_an_error() {
+        let dir = scratch("neg");
+        let path = dir.join("neg.tns");
+        let mut t = sptensor::synth::uniform_random(&[5, 6, 7], 40, 3);
+        t.values_mut()[0] = -1.0;
+        save(&t, path.to_str().unwrap()).unwrap();
+        let err = cmd_cpd(&args(&[path.to_str().unwrap(), "--nonneg", "--iters", "2"]))
+            .expect_err("a negative tensor must be refused, not decomposed");
+        assert!(err.contains("non-negative tensor"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn nonneg_cpd_emits_one_iteration_event_per_iteration() {
+        let dir = scratch("nonneg_events");
+        let path = dir.join("pos.tns");
+        let events = dir.join("ev.jsonl");
+        let t = sptensor::synth::uniform_random(&[20, 24, 28], 600, 5);
+        save(&t, path.to_str().unwrap()).unwrap();
+        cmd_cpd(&args(&[
+            path.to_str().unwrap(),
+            "--nonneg",
+            "--rank",
+            "4",
+            "--iters",
+            "3",
+            "--events",
+            events.to_str().unwrap(),
+        ]))
+        .unwrap();
+        let text = std::fs::read_to_string(&events).unwrap();
+        let iterations: Vec<u64> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .filter(|e| e["kind"] == "iteration")
+            .map(|e| e["iteration"].as_u64().unwrap())
+            .collect();
+        assert_eq!(iterations, vec![0, 1, 2]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

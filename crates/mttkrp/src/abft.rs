@@ -90,6 +90,17 @@ impl KernelReport {
             .count();
         hit as f64 / self.corrupted_rows.len() as f64
     }
+
+    /// Converts to the simprof manifest record (one kernel execution).
+    pub fn to_record(&self) -> simprof::ResilienceRecord {
+        simprof::ResilienceRecord {
+            faults_injected: self.faults_injected,
+            rows_detected: self.detected_rows.len() as u64,
+            kernel_retries: u64::from(self.retries),
+            degraded_rows: self.degraded_rows,
+            ..simprof::ResilienceRecord::default()
+        }
+    }
 }
 
 /// Flags output rows whose column sum disagrees with the ABFT checksum.

@@ -6,13 +6,22 @@
 //! kernel in this crate (CPU or simulated-GPU) can drive a full
 //! decomposition — MTTKRP being "a common bottleneck for CPD" is the
 //! paper's entire motivation.
+//!
+//! Every public driver here (and the streaming driver in `gpu::stream`)
+//! is a thin delegation to one private engine, `als`, generic over four
+//! parts: the MTTKRP backend, the norm source (`‖X‖` plus an
+//! `⟨X, X̃⟩` closure), the update rule (least squares or non-negative
+//! multiplicative), and optional resilience guards. Cross-driver
+//! bit-identity holds because there is only one loop to agree with.
 
+use std::convert::Infallible;
 use std::time::Instant;
 
 use dense::{pseudo_inverse, spd_condition, HadamardChain, Matrix};
 use simprof::{ModeTiming, ResilienceRecord, RunManifest};
 use sptensor::CooTensor;
 
+use crate::gpu::GpuContext;
 use crate::reference::random_factors;
 
 /// CPD-ALS configuration.
@@ -81,7 +90,7 @@ pub fn cpd_als(
     opts: &CpdOptions,
     mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
 ) -> CpdResult {
-    cpd_als_impl(t, opts, mttkrp, None, None)
+    resident(t, opts, Update::LeastSquares, mttkrp, None, None, None).0
 }
 
 /// [`cpd_als`] with iteration telemetry: per-mode MTTKRP wall time, fit
@@ -97,9 +106,18 @@ pub fn cpd_als_profiled(
     opts: &CpdOptions,
     mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
     manifest: &mut RunManifest,
-    ctx: Option<&crate::gpu::GpuContext>,
+    ctx: Option<&GpuContext>,
 ) -> CpdResult {
-    cpd_als_impl(t, opts, mttkrp, Some(manifest), ctx)
+    resident(
+        t,
+        opts,
+        Update::LeastSquares,
+        mttkrp,
+        None,
+        Some(manifest),
+        ctx,
+    )
+    .0
 }
 
 /// [`cpd_als`] driven by pre-captured launch plans: one
@@ -110,137 +128,26 @@ pub fn cpd_als_profiled(
 pub fn cpd_als_planned(
     t: &CooTensor,
     opts: &CpdOptions,
-    ctx: &crate::gpu::GpuContext,
+    ctx: &GpuContext,
     plans: &crate::gpu::ModePlans,
 ) -> CpdResult {
-    cpd_als_impl(
+    let backend = |factors: &[Matrix], mode: usize| match plans.execute(ctx, factors, mode) {
+        Ok(run) => run.y,
+        // A launch refusal (rank/shape mismatch against the captured
+        // plan) cannot be retried at this layer; degrade to the
+        // reference kernel rather than poison the whole run.
+        Err(_) => crate::reference::mttkrp(t, factors, mode),
+    };
+    resident(
         t,
         opts,
-        |factors, mode| match plans.execute(ctx, factors, mode) {
-            Ok(run) => run.y,
-            // A launch refusal (rank/shape mismatch against the captured
-            // plan) cannot be retried at this layer; degrade to the
-            // reference kernel rather than poison the whole run.
-            Err(_) => crate::reference::mttkrp(t, factors, mode),
-        },
+        Update::LeastSquares,
+        backend,
+        None,
         None,
         Some(ctx),
     )
-}
-
-/// Stamps `opts` into the manifest so the document matches the run.
-fn sync_manifest(manifest: &mut RunManifest, opts: &CpdOptions) {
-    manifest.rank = opts.rank;
-    manifest.max_iters = opts.max_iters;
-    manifest.tol = opts.tol;
-    manifest.seed = opts.seed;
-}
-
-/// Records one completed ALS iteration against the context's *simulated*
-/// clock: the `cpd.iter_sim_us` histogram plus an `iteration` event. The
-/// clock only moves when kernels replay through the context, so the
-/// delta is the iteration's total simulated kernel time — wall-clock
-/// timings stay in the manifest, deterministic timings live here.
-fn note_iteration(ctx: &crate::gpu::GpuContext, iteration: usize, fit: f64, start_us: f64) {
-    let tel = &ctx.telemetry;
-    let sim_us = (tel.now_us() - start_us).max(0.0);
-    ctx.registry
-        .observe("cpd.iter_sim_us", sim_us.round() as u64);
-    if tel.enabled() {
-        tel.emit(
-            "iteration",
-            None,
-            tel.new_span(),
-            &[
-                ("iteration", simprof::FieldValue::from(iteration)),
-                ("fit", simprof::FieldValue::from(fit)),
-                ("iter_sim_us", simprof::FieldValue::from(sim_us)),
-            ],
-        );
-    }
-}
-
-fn cpd_als_impl(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    mut mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-    mut manifest: Option<&mut RunManifest>,
-    ctx: Option<&crate::gpu::GpuContext>,
-) -> CpdResult {
-    let run_start = Instant::now();
-    if let Some(m) = manifest.as_deref_mut() {
-        sync_manifest(m, opts);
-    }
-    let order = t.order();
-    let mut factors = random_factors(t, opts.rank, opts.seed);
-    let mut lambda = vec![1.0f32; opts.rank];
-    let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
-    let norm_x = t
-        .values()
-        .iter()
-        .map(|&v| (v as f64) * (v as f64))
-        .sum::<f64>()
-        .sqrt();
-
-    let mut fits = Vec::new();
-    let mut prev_fit = 0.0f64;
-    let mut iterations = 0;
-
-    for _iter in 0..opts.max_iters {
-        let iter_start = Instant::now();
-        let iter_sim_start = ctx.map_or(0.0, |c| c.telemetry.now_us());
-        let mut mode_timings: Vec<ModeTiming> = Vec::new();
-        // V = ∗_{m≠n} AₘᵀAₘ  (Eq. 3's gram-Hadamard), served from cached
-        // prefix/suffix partial products across the sweep (Phan et al.
-        // 2013) instead of an O(order²) per-iteration refold.
-        let mut chain = HadamardChain::new(&grams, opts.rank);
-        for mode in 0..order {
-            let mttkrp_start = Instant::now();
-            let y = mttkrp(&factors, mode);
-            if manifest.is_some() {
-                mode_timings.push(ModeTiming {
-                    mode,
-                    mttkrp_seconds: mttkrp_start.elapsed().as_secs_f64(),
-                });
-            }
-            let v = chain.v(mode);
-            let mut a_new = y.matmul(&pseudo_inverse(&v));
-            lambda = a_new.normalize_columns();
-            // Guard against zero columns collapsing the decomposition.
-            for l in &mut lambda {
-                if *l == 0.0 {
-                    *l = 1e-30;
-                }
-            }
-            grams[mode] = a_new.gram();
-            chain.advance(&grams[mode]);
-            factors[mode] = a_new;
-        }
-        iterations += 1;
-
-        let fit = compute_fit(t, &factors, &lambda, &grams, norm_x);
-        fits.push(fit);
-        if let Some(m) = manifest.as_deref_mut() {
-            m.push_iteration(fit, mode_timings, iter_start.elapsed().as_secs_f64());
-        }
-        if let Some(c) = ctx {
-            note_iteration(c, iterations - 1, fit, iter_sim_start);
-        }
-        if iterations > 1 && (fit - prev_fit).abs() < opts.tol {
-            break;
-        }
-        prev_fit = fit;
-    }
-    if let Some(m) = manifest {
-        m.total_seconds = run_start.elapsed().as_secs_f64();
-    }
-
-    CpdResult {
-        factors,
-        lambda,
-        fits,
-        iterations,
-    }
+    .0
 }
 
 /// Self-healing policy for [`cpd_als_resilient`].
@@ -342,9 +249,21 @@ pub fn cpd_als_resilient(
     ropts: &ResilienceOptions,
     mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
     manifest: Option<&mut RunManifest>,
-    ctx: Option<&crate::gpu::GpuContext>,
+    ctx: Option<&GpuContext>,
 ) -> (CpdResult, ResilienceStats) {
-    cpd_als_resilient_inner(t, opts, ropts, mttkrp, manifest, ctx, None)
+    let guards = Guards {
+        ropts,
+        durable: None,
+    };
+    resident(
+        t,
+        opts,
+        Update::LeastSquares,
+        mttkrp,
+        Some(guards),
+        manifest,
+        ctx,
+    )
 }
 
 /// How [`cpd_als_resilient_durable`] persists and resumes state.
@@ -375,6 +294,54 @@ struct DurableSession {
     error: Option<crate::checkpoint::CheckpointError>,
 }
 
+impl DurableSession {
+    /// Writes one durable checkpoint and accounts for it. Returns `false`
+    /// when the run must stop here: an injected crash under
+    /// `halt_on_crash`, or a genuine I/O error (kept in `self.error`).
+    fn write(
+        &mut self,
+        ctx: Option<&GpuContext>,
+        iteration: usize,
+        factors: &[Matrix],
+        lambda: &[f32],
+        fits: &[f64],
+    ) -> bool {
+        use crate::checkpoint::WriteOutcome;
+        let (kind, seq, size_field) = match self.store.write(iteration, factors, lambda, fits) {
+            Ok(WriteOutcome::Written { seq, bytes }) => {
+                self.record.writes += 1;
+                self.record.bytes_written += bytes;
+                ("checkpoint-write", seq, ("bytes", bytes))
+            }
+            Ok(WriteOutcome::Crashed { seq, torn_bytes }) => {
+                self.record.crashes += 1;
+                ("checkpoint-crash", seq, ("torn_bytes", torn_bytes))
+            }
+            Err(e) => {
+                self.error = Some(e);
+                return false;
+            }
+        };
+        if let Some(tel) = ctx.map(|c| &c.telemetry).filter(|tel| tel.enabled()) {
+            tel.emit(
+                kind,
+                None,
+                tel.new_span(),
+                &[
+                    ("seq", simprof::FieldValue::from(seq)),
+                    ("iteration", simprof::FieldValue::from(iteration)),
+                    (size_field.0, simprof::FieldValue::from(size_field.1)),
+                ],
+            );
+        }
+        if kind == "checkpoint-crash" && self.halt_on_crash {
+            self.halted = true;
+            return false;
+        }
+        true
+    }
+}
+
 /// [`cpd_als_resilient`] with durable, crash-consistent checkpoints: at
 /// every in-memory checkpoint a versioned, checksummed file is written
 /// atomically (temp + fsync + rename) through a
@@ -402,7 +369,7 @@ pub fn cpd_als_resilient_durable(
     dopts: &DurableOptions,
     mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
     mut manifest: Option<&mut RunManifest>,
-    ctx: Option<&crate::gpu::GpuContext>,
+    ctx: Option<&GpuContext>,
 ) -> Result<
     (CpdResult, ResilienceStats, simprof::CheckpointRecord),
     crate::checkpoint::CheckpointError,
@@ -429,14 +396,18 @@ pub fn cpd_als_resilient_durable(
         halted: false,
         error: None,
     };
-    let (result, stats) = cpd_als_resilient_inner(
+    let guards = Guards {
+        ropts,
+        durable: Some(&mut session),
+    };
+    let (result, stats) = resident(
         t,
         opts,
-        ropts,
+        Update::LeastSquares,
         mttkrp,
+        Some(guards),
         manifest.as_deref_mut(),
         ctx,
-        Some(&mut session),
     );
     if let Some(e) = session.error {
         return Err(e);
@@ -448,250 +419,16 @@ pub fn cpd_als_resilient_durable(
     Ok((result, stats, session.record))
 }
 
-fn cpd_als_resilient_inner(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    ropts: &ResilienceOptions,
-    mut mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-    mut manifest: Option<&mut RunManifest>,
-    ctx: Option<&crate::gpu::GpuContext>,
-    mut durable: Option<&mut DurableSession>,
-) -> (CpdResult, ResilienceStats) {
-    let run_start = Instant::now();
-    if let Some(m) = manifest.as_deref_mut() {
-        sync_manifest(m, opts);
-    }
-    let order = t.order();
-    let mut factors = random_factors(t, opts.rank, opts.seed);
-    let mut lambda = vec![1.0f32; opts.rank];
-    let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
-    let norm_x = t
-        .values()
-        .iter()
-        .map(|&v| (v as f64) * (v as f64))
-        .sum::<f64>()
-        .sqrt();
-
-    let mut stats = ResilienceStats::default();
-    let mut checkpoint: Option<Checkpoint> = None;
-    let mut best_fit = f64::NEG_INFINITY;
-    let mut fits = Vec::new();
-    let mut prev_fit = 0.0f64;
-    let mut iterations = 0;
-
-    // Warm restart: adopt the checkpointed trajectory wholesale. Grams
-    // are recomputed from the restored factors (they are pure functions
-    // of them), `prev_fit`/`best_fit` are re-derived from the restored
-    // fit trajectory, and the restored state doubles as the in-memory
-    // rollback target — exactly the state an uninterrupted run had right
-    // after taking that checkpoint, so the continuation is bit-identical.
-    if let Some(state) = durable.as_deref_mut().and_then(|d| d.resume.take()) {
-        factors = state.factors;
-        lambda = state.lambda;
-        fits = state.fits;
-        iterations = state.iteration;
-        prev_fit = fits.last().copied().unwrap_or(0.0);
-        best_fit = fits
-            .iter()
-            .copied()
-            .filter(|f| f.is_finite())
-            .fold(f64::NEG_INFINITY, f64::max);
-        checkpoint = Some(Checkpoint {
-            factors: factors.clone(),
-            lambda: lambda.clone(),
-            fit: prev_fit,
-        });
-        grams = factors.iter().map(Matrix::gram).collect();
-        if let Some(c) = ctx {
-            let tel = &c.telemetry;
-            if tel.enabled() {
-                tel.emit(
-                    "checkpoint-resume",
-                    None,
-                    tel.new_span(),
-                    &[
-                        ("seq", simprof::FieldValue::from(state.seq)),
-                        ("iteration", simprof::FieldValue::from(iterations)),
-                    ],
-                );
-            }
-        }
-    }
-
-    while iterations < opts.max_iters {
-        let iter_start = Instant::now();
-        let iter_sim_start = ctx.map_or(0.0, |c| c.telemetry.now_us());
-        let mut mode_timings: Vec<ModeTiming> = Vec::new();
-        let mut chain = HadamardChain::new(&grams, opts.rank);
-        for mode in 0..order {
-            let mttkrp_start = Instant::now();
-            let mut y = mttkrp(&factors, mode);
-            if manifest.is_some() {
-                mode_timings.push(ModeTiming {
-                    mode,
-                    mttkrp_seconds: mttkrp_start.elapsed().as_secs_f64(),
-                });
-            }
-            stats.nan_resets += scrub_nonfinite(&mut y);
-            // Scrubbing applies to the joined product only — the chain's
-            // cached partials stay as computed, exactly like the old
-            // refold scrubbed its per-mode result and left `grams` alone.
-            let mut v = chain.v(mode);
-            stats.nan_resets += scrub_nonfinite(&mut v);
-            if spd_condition(&v) > ropts.cond_limit {
-                // Relative ridge: λI scaled to the matrix's own magnitude.
-                let trace: f32 = (0..opts.rank).map(|i| v.get(i, i)).sum();
-                let mu = ropts.ridge * (trace / opts.rank as f32).max(f32::MIN_POSITIVE);
-                for i in 0..opts.rank {
-                    v.set(i, i, v.get(i, i) + mu);
-                }
-                stats.tikhonov_fallbacks += 1;
-            }
-            let mut a_new = y.matmul(&pseudo_inverse(&v));
-            stats.nan_resets += scrub_nonfinite(&mut a_new);
-            lambda = a_new.normalize_columns();
-            for l in &mut lambda {
-                if *l == 0.0 || !l.is_finite() {
-                    *l = 1e-30;
-                }
-            }
-            grams[mode] = a_new.gram();
-            chain.advance(&grams[mode]);
-            factors[mode] = a_new;
-        }
-        iterations += 1;
-
-        let fit = compute_fit(t, &factors, &lambda, &grams, norm_x);
-        fits.push(fit);
-        if let Some(m) = manifest.as_deref_mut() {
-            m.push_iteration(fit, mode_timings, iter_start.elapsed().as_secs_f64());
-        }
-        if let Some(c) = ctx {
-            note_iteration(c, iterations - 1, fit, iter_sim_start);
-        }
-
-        let regressed = fit.is_nan() || fit < best_fit - ropts.fit_drop_tol;
-        let rollback_target = if regressed && stats.rollbacks < ropts.max_rollbacks {
-            checkpoint.as_ref()
-        } else {
-            None
-        };
-        if let Some(cp) = rollback_target {
-            // Roll back and re-jitter so the retried trajectory draws
-            // different fault sites than the one that regressed.
-            factors = cp.factors.clone();
-            lambda = cp.lambda.clone();
-            prev_fit = cp.fit;
-            stats.rollbacks += 1;
-            let jitter_seed = opts.seed.wrapping_add(0x5EED).wrapping_add(stats.rollbacks);
-            for (m, f) in factors.iter_mut().enumerate() {
-                let noise = Matrix::random(f.rows(), f.cols(), jitter_seed + m as u64);
-                for (v, &nz) in f.data_mut().iter_mut().zip(noise.data()) {
-                    *v += 1e-3 * nz;
-                }
-            }
-            grams = factors.iter().map(Matrix::gram).collect();
-            continue;
-        }
-        if fit.is_finite() && fit > best_fit {
-            best_fit = fit;
-        }
-        if ropts.checkpoint_every > 0 && iterations % ropts.checkpoint_every == 0 && fit.is_finite()
-        {
-            checkpoint = Some(Checkpoint {
-                factors: factors.clone(),
-                lambda: lambda.clone(),
-                fit,
-            });
-            stats.checkpoints += 1;
-            if let Some(d) = durable.as_deref_mut() {
-                use crate::checkpoint::WriteOutcome;
-                match d.store.write(iterations, &factors, &lambda, &fits) {
-                    Ok(WriteOutcome::Written { seq, bytes }) => {
-                        d.record.writes += 1;
-                        d.record.bytes_written += bytes;
-                        if let Some(c) = ctx {
-                            let tel = &c.telemetry;
-                            if tel.enabled() {
-                                tel.emit(
-                                    "checkpoint-write",
-                                    None,
-                                    tel.new_span(),
-                                    &[
-                                        ("seq", simprof::FieldValue::from(seq)),
-                                        ("iteration", simprof::FieldValue::from(iterations)),
-                                        ("bytes", simprof::FieldValue::from(bytes)),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                    Ok(WriteOutcome::Crashed { seq, torn_bytes }) => {
-                        d.record.crashes += 1;
-                        if let Some(c) = ctx {
-                            let tel = &c.telemetry;
-                            if tel.enabled() {
-                                tel.emit(
-                                    "checkpoint-crash",
-                                    None,
-                                    tel.new_span(),
-                                    &[
-                                        ("seq", simprof::FieldValue::from(seq)),
-                                        ("iteration", simprof::FieldValue::from(iterations)),
-                                        ("torn_bytes", simprof::FieldValue::from(torn_bytes)),
-                                    ],
-                                );
-                            }
-                        }
-                        if d.halt_on_crash {
-                            d.halted = true;
-                            break;
-                        }
-                    }
-                    Err(e) => {
-                        d.error = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        if iterations > 1 && (fit - prev_fit).abs() < opts.tol {
-            break;
-        }
-        prev_fit = fit;
-    }
-    if let Some(m) = manifest {
-        m.total_seconds = run_start.elapsed().as_secs_f64();
-        m.resilience.merge(&ResilienceRecord {
-            rollbacks: stats.rollbacks,
-            nan_resets: stats.nan_resets,
-            tikhonov_fallbacks: stats.tikhonov_fallbacks,
-            checkpoints: stats.checkpoints,
-            ..ResilienceRecord::default()
-        });
-    }
-
-    (
-        CpdResult {
-            factors,
-            lambda,
-            fits,
-            iterations,
-        },
-        stats,
-    )
-}
-
 /// [`cpd_als_resilient`] with every MTTKRP routed through the out-of-core
 /// degradation ladder — the memory-aware layer of the simfault stack.
 ///
-/// Each (iteration, mode) MTTKRP executes the captured plan via
-/// [`crate::gpu::ooc::execute_adaptive`]: in-core when the plan's
-/// [`MemoryFootprint`](crate::gpu::MemoryFootprint) fits the context's
-/// [`DeviceMemory`](gpu_sim::DeviceMemory), tiled when it does not, CPU
-/// reference when injected OOMs exhaust the tile budget ladder. When the
-/// context also carries exec faults (bit flips / aborts / stragglers) the
-/// attempt additionally runs under
+/// Each (iteration, mode) MTTKRP executes the captured plan through an
+/// [`Executor`](crate::gpu::Executor) with the tensor attached: in-core
+/// when the plan's [`MemoryFootprint`](crate::gpu::MemoryFootprint) fits
+/// the context's [`DeviceMemory`](gpu_sim::DeviceMemory), tiled when it
+/// does not, CPU reference when injected OOMs exhaust the tile budget
+/// ladder. When the context also carries exec faults (bit flips / aborts
+/// / stragglers) the attempt additionally runs under
 /// [`run_verified`](crate::abft::run_verified), so checksum repair and
 /// memory degradation compose per attempt.
 ///
@@ -706,52 +443,40 @@ pub fn cpd_als_adaptive(
     t: &CooTensor,
     opts: &CpdOptions,
     ropts: &ResilienceOptions,
-    ctx: &crate::gpu::GpuContext,
+    ctx: &GpuContext,
     plans: &crate::gpu::ModePlans,
     oopts: &crate::gpu::OocOptions,
     mut manifest: Option<&mut RunManifest>,
 ) -> (CpdResult, ResilienceStats, simprof::MemoryRecord) {
-    use std::cell::RefCell;
-
-    let kernel_events: RefCell<ResilienceRecord> = RefCell::new(ResilienceRecord::default());
-    let memrec: RefCell<simprof::MemoryRecord> = RefCell::new(simprof::MemoryRecord::default());
-    let abft_opts = crate::abft::AbftOptions::default();
-    let exec_faulted = ctx.fault_plan().is_some();
-
-    let backend = |factors: &[Matrix], mode: usize| -> Matrix {
-        let plan = plans.plan(mode);
-        if exec_faulted {
-            let (run, rep, mems) =
-                crate::abft::run_verified_adaptive(ctx, t, factors, &abft_opts, oopts, plan);
-            {
-                let mut ev = kernel_events.borrow_mut();
-                ev.faults_injected += rep.faults_injected;
-                ev.rows_detected += rep.detected_rows.len() as u64;
-                ev.kernel_retries += u64::from(rep.retries);
-                ev.degraded_rows += rep.degraded_rows;
+    let exec = crate::gpu::Executor::new(ctx.clone())
+        .with_ooc(*oopts)
+        .with_abft(crate::abft::AbftOptions::default());
+    let mut kernel_events = ResilienceRecord::default();
+    let mut mem = simprof::MemoryRecord::default();
+    let backend = |factors: &[Matrix], mode: usize| {
+        let args = crate::gpu::LaunchArgs::new(factors).with_tensor(t);
+        match exec.execute(plans.plan(mode), &args) {
+            Ok(e) => {
+                for m in &e.mem {
+                    m.absorb_into(&mut mem);
+                }
+                if let Some(r) = &e.abft {
+                    kernel_events.merge(&r.to_record());
+                }
+                e.run.y
             }
-            let mut mr = memrec.borrow_mut();
-            for m in &mems {
-                m.absorb_into(&mut mr);
-            }
-            run.y
-        } else {
-            let (run, mem) = crate::gpu::ooc::execute_adaptive(ctx, plan, factors, t, oopts);
-            mem.absorb_into(&mut memrec.borrow_mut());
-            run.y
+            Err(_) => crate::reference::mttkrp(t, factors, mode),
         }
     };
-
     let (result, stats) =
         cpd_als_resilient(t, opts, ropts, backend, manifest.as_deref_mut(), Some(ctx));
 
-    let mut mem = memrec.into_inner();
     mem.high_water_bytes = mem.high_water_bytes.max(ctx.memory.high_water());
     if !ctx.memory.is_unlimited() {
         mem.capacity_bytes = mem.capacity_bytes.max(ctx.memory.capacity());
     }
     if let Some(m) = manifest {
-        m.resilience.merge(&kernel_events.into_inner());
+        m.resilience.merge(&kernel_events);
         m.memory.merge(&mem);
     }
     (result, stats, mem)
@@ -786,7 +511,7 @@ pub fn cpd_als_sharded(
     t: &CooTensor,
     opts: &CpdOptions,
     ropts: &ResilienceOptions,
-    ctx: &crate::gpu::GpuContext,
+    ctx: &GpuContext,
     plans: &crate::gpu::ModePlans,
     grid: &crate::gpu::GridSpec,
     oopts: &crate::gpu::OocOptions,
@@ -796,64 +521,49 @@ pub fn cpd_als_sharded(
 
     use crate::gpu::ShardModel;
 
-    // Unreachable in practice — the tensor is always attached below —
-    // but degrade to the CPU reference rather than panic if the sharded
-    // engine ever refuses an execute.
-    fn sharded_cpu_degrade(
-        t: &CooTensor,
-        plan: &crate::gpu::Plan,
-        factors: &[Matrix],
-        model: &ShardModel,
-    ) -> (crate::gpu::GpuRun, crate::gpu::GridReport) {
-        (
-            crate::gpu::GpuRun {
-                y: crate::reference::mttkrp(t, factors, plan.mode()),
-                sim: crate::gpu::ooc::cpu_fallback_sim(plan),
-                profile: None,
-                abft: None,
-            },
-            model.report(),
-        )
-    }
-
     // Model phase, once per mode: the per-iteration replays only clone
     // values out of these.
     let models: Vec<ShardModel> = (0..t.order())
         .map(|m| ShardModel::build(ctx, plans.plan(m), grid, oopts))
         .collect();
 
+    // Written from inside run_verified's `Fn` attempts, hence the cell.
     let grid_rec: RefCell<simprof::GridRecord> = RefCell::new(simprof::GridRecord::default());
-    let kernel_events: RefCell<ResilienceRecord> = RefCell::new(ResilienceRecord::default());
+    let mut kernel_events = ResilienceRecord::default();
     let abft_opts = crate::abft::AbftOptions::default();
-    let exec_faulted = ctx.fault_plan().is_some();
 
     let backend = |factors: &[Matrix], mode: usize| -> Matrix {
         let plan = plans.plan(mode);
         let model = &models[mode];
-        if exec_faulted {
-            // Verified sharded replay: the sharded engine is the kernel
-            // under test, run_verified wraps it with checksum + retry.
-            let (run, rep) =
-                crate::abft::run_verified(ctx, t, factors, plan.mode(), &abft_opts, |c| {
-                    let (run, g) = model
-                        .execute(c, plan, factors, Some(t))
-                        .unwrap_or_else(|_| sharded_cpu_degrade(t, plan, factors, model));
-                    grid_rec.borrow_mut().merge(&g.to_record());
-                    run
-                });
-            let mut ev = kernel_events.borrow_mut();
-            ev.faults_injected += rep.faults_injected;
-            ev.rows_detected += rep.detected_rows.len() as u64;
-            ev.kernel_retries += u64::from(rep.retries);
-            ev.degraded_rows += rep.degraded_rows;
-            run.y
-        } else {
+        let replay = |c: &GpuContext| {
+            // Unreachable in practice — the tensor is always attached —
+            // but degrade to the CPU reference rather than panic if the
+            // sharded engine ever refuses an execute.
             let (run, g) = model
-                .execute(ctx, plan, factors, Some(t))
-                .unwrap_or_else(|_| sharded_cpu_degrade(t, plan, factors, model));
+                .execute(c, plan, factors, Some(t))
+                .unwrap_or_else(|_| {
+                    let y = crate::reference::mttkrp(t, factors, plan.mode());
+                    let sim = crate::gpu::ooc::cpu_fallback_sim(plan);
+                    let run = crate::gpu::GpuRun {
+                        y,
+                        sim,
+                        profile: None,
+                        abft: None,
+                    };
+                    (run, model.report())
+                });
             grid_rec.borrow_mut().merge(&g.to_record());
-            run.y
+            run
+        };
+        if ctx.fault_plan().is_none() {
+            return replay(ctx).y;
         }
+        // Verified sharded replay: the sharded engine is the kernel
+        // under test, run_verified wraps it with checksum + retry.
+        let (run, rep) =
+            crate::abft::run_verified(ctx, t, factors, plan.mode(), &abft_opts, replay);
+        kernel_events.merge(&rep.to_record());
+        run.y
     };
 
     let (result, stats) =
@@ -861,7 +571,7 @@ pub fn cpd_als_sharded(
 
     let rec = grid_rec.into_inner();
     if let Some(m) = manifest {
-        m.resilience.merge(&kernel_events.into_inner());
+        m.resilience.merge(&kernel_events);
         m.grid.merge(&rec);
     }
     (result, stats, rec)
@@ -881,145 +591,381 @@ pub fn cpd_als_nonneg(
     opts: &CpdOptions,
     mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
 ) -> CpdResult {
-    cpd_als_nonneg_impl(t, opts, mttkrp, None)
+    resident(t, opts, Update::NonNeg, mttkrp, None, None, None).0
 }
 
 /// [`cpd_als_nonneg`] with the same iteration telemetry as
-/// [`cpd_als_profiled`].
+/// [`cpd_als_profiled`], including the `ctx` simulated-clock observations
+/// and `iteration` events.
 pub fn cpd_als_nonneg_profiled(
     t: &CooTensor,
     opts: &CpdOptions,
     mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
     manifest: &mut RunManifest,
+    ctx: Option<&GpuContext>,
 ) -> CpdResult {
-    cpd_als_nonneg_impl(t, opts, mttkrp, Some(manifest))
+    resident(t, opts, Update::NonNeg, mttkrp, None, Some(manifest), ctx).0
 }
 
-fn cpd_als_nonneg_impl(
+/// The dense half of one ALS mode update, given `Yₙ = MTTKRP(X, n)` and
+/// `Vₙ = ∗ₘ≠ₙ AₘᵀAₘ`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Update {
+    /// `Aₙ ← Yₙ · Vₙ†`, columns normalized into `λ` (paper Algorithm 1).
+    LeastSquares,
+    /// `Aₙ ← Aₙ ∗ Yₙ ⊘ (Aₙ · Vₙ)`, clamped at zero; factors stay
+    /// unnormalized and the last one's column norms become `λ` at the end.
+    NonNeg,
+}
+
+/// The data side of the fit: `‖X‖`, and a closure computing `⟨X, X̃⟩`
+/// for given factors and `λ` — a pass over resident values or a stream
+/// over a spill.
+pub(crate) struct Norm<I> {
+    pub(crate) norm_x: f64,
+    pub(crate) inner: I,
+}
+
+/// The self-healing half of [`cpd_als_resilient`]: scrubbing, Tikhonov
+/// fallback, checkpoint/rollback, and (durable runs) on-disk checkpoints
+/// with warm restart. Absent guards cost nothing: no scrub pass, no
+/// condition estimate, no checkpoint clone.
+pub(crate) struct Guards<'a> {
+    ropts: &'a ResilienceOptions,
+    durable: Option<&'a mut DurableSession>,
+}
+
+/// Where a run reports; neither part touches the arithmetic.
+#[derive(Default)]
+pub(crate) struct Observer<'a> {
+    /// Options, per-iteration timings and fits, total time, and (guarded
+    /// runs) the resilience record.
+    manifest: Option<&'a mut RunManifest>,
+    /// Simulated-clock iteration timings and `iteration` events.
+    ctx: Option<&'a GpuContext>,
+}
+
+/// A resident run: factors seeded from `t`'s shape, the norm source a
+/// pass over `t`'s values, and an infallible backend.
+fn resident(
     t: &CooTensor,
     opts: &CpdOptions,
+    update: Update,
     mut mttkrp: impl FnMut(&[Matrix], usize) -> Matrix,
-    mut manifest: Option<&mut RunManifest>,
-) -> CpdResult {
-    let run_start = Instant::now();
-    if let Some(m) = manifest.as_deref_mut() {
-        sync_manifest(m, opts);
-    }
+    guards: Option<Guards<'_>>,
+    manifest: Option<&mut RunManifest>,
+    ctx: Option<&GpuContext>,
+) -> (CpdResult, ResilienceStats) {
     assert!(
-        t.values().iter().all(|&v| v >= 0.0),
+        update == Update::LeastSquares || t.values().iter().all(|&v| v >= 0.0),
         "non-negative CPD requires a non-negative tensor"
     );
-    const EPS: f32 = 1e-12;
-    let order = t.order();
-    let mut factors = random_factors(t, opts.rank, opts.seed);
-    let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
-    let norm_x = t
-        .values()
-        .iter()
-        .map(|&v| (v as f64) * (v as f64))
-        .sum::<f64>()
-        .sqrt();
+    let norm = Norm {
+        norm_x: t
+            .values()
+            .iter()
+            .map(|&v| (v as f64) * (v as f64))
+            .sum::<f64>()
+            .sqrt(),
+        inner: |factors: &[Matrix], lambda: &[f32]| Ok(inner_product(t, factors, lambda)),
+    };
+    let factors = random_factors(t, opts.rank, opts.seed);
+    let backend = |factors: &[Matrix], mode: usize| Ok::<_, Infallible>(mttkrp(factors, mode));
+    let obs = Observer { manifest, ctx };
+    let Ok(out) = als(factors, opts, update, norm, backend, guards, obs);
+    out
+}
 
+/// The ALS engine — the only iteration loop in the crate. Starts from
+/// `factors` (or, for a durable run with a valid checkpoint, from the
+/// checkpointed state), sweeps every mode per iteration through
+/// `mttkrp` and `update`, and stops after `opts.max_iters` iterations or
+/// when the fit moves less than `opts.tol`. A backend or norm-source
+/// error aborts the run.
+pub(crate) fn als<E>(
+    mut factors: Vec<Matrix>,
+    opts: &CpdOptions,
+    update: Update,
+    mut norm: Norm<impl FnMut(&[Matrix], &[f32]) -> Result<f64, E>>,
+    mut mttkrp: impl FnMut(&[Matrix], usize) -> Result<Matrix, E>,
+    mut guards: Option<Guards<'_>>,
+    mut obs: Observer<'_>,
+) -> Result<(CpdResult, ResilienceStats), E> {
+    let run_start = Instant::now();
+    if let Some(m) = obs.manifest.as_deref_mut() {
+        sync_manifest(m, opts);
+    }
+    let order = factors.len();
+    let mut lambda = vec![1.0f32; opts.rank];
+    let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
+
+    let mut stats = ResilienceStats::default();
+    let mut checkpoint: Option<Checkpoint> = None;
+    let mut best_fit = f64::NEG_INFINITY;
     let mut fits = Vec::new();
     let mut prev_fit = 0.0f64;
     let mut iterations = 0;
-    for _iter in 0..opts.max_iters {
+
+    // Warm restart: adopt the checkpointed trajectory wholesale. Grams
+    // are recomputed from the restored factors (they are pure functions
+    // of them), `prev_fit`/`best_fit` are re-derived from the restored
+    // fit trajectory, and the restored state doubles as the in-memory
+    // rollback target — exactly the state an uninterrupted run had right
+    // after taking that checkpoint, so the continuation is bit-identical.
+    let resume = guards.as_mut().and_then(|g| g.durable.as_deref_mut());
+    if let Some(state) = resume.and_then(|d| d.resume.take()) {
+        factors = state.factors;
+        lambda = state.lambda;
+        fits = state.fits;
+        iterations = state.iteration;
+        prev_fit = fits.last().copied().unwrap_or(0.0);
+        best_fit = fits
+            .iter()
+            .copied()
+            .filter(|f| f.is_finite())
+            .fold(f64::NEG_INFINITY, f64::max);
+        checkpoint = Some(Checkpoint {
+            factors: factors.clone(),
+            lambda: lambda.clone(),
+            fit: prev_fit,
+        });
+        grams = factors.iter().map(Matrix::gram).collect();
+        if let Some(tel) = obs.ctx.map(|c| &c.telemetry).filter(|tel| tel.enabled()) {
+            tel.emit(
+                "checkpoint-resume",
+                None,
+                tel.new_span(),
+                &[
+                    ("seq", simprof::FieldValue::from(state.seq)),
+                    ("iteration", simprof::FieldValue::from(iterations)),
+                ],
+            );
+        }
+    }
+
+    while iterations < opts.max_iters {
         let iter_start = Instant::now();
+        let iter_sim_start = obs.ctx.map_or(0.0, |c| c.telemetry.now_us());
         let mut mode_timings: Vec<ModeTiming> = Vec::new();
+        // V = ∗_{m≠n} AₘᵀAₘ  (Eq. 3's gram-Hadamard), served from cached
+        // prefix/suffix partial products across the sweep (Phan et al.
+        // 2013) instead of an O(order²) per-iteration refold.
         let mut chain = HadamardChain::new(&grams, opts.rank);
         for mode in 0..order {
             let mttkrp_start = Instant::now();
-            let y = mttkrp(&factors, mode);
-            if manifest.is_some() {
+            let mut y = mttkrp(&factors, mode)?;
+            if obs.manifest.is_some() {
                 mode_timings.push(ModeTiming {
                     mode,
                     mttkrp_seconds: mttkrp_start.elapsed().as_secs_f64(),
                 });
             }
-            let v = chain.v(mode);
-            // Denominator A·V, then the multiplicative update.
-            let denom = factors[mode].matmul(&v);
-            let a = &mut factors[mode];
-            for i in 0..a.rows() {
-                for c in 0..opts.rank {
-                    let upd = a.get(i, c) * y.get(i, c) / (denom.get(i, c) + EPS);
-                    a.set(i, c, upd.max(0.0));
+            let mut v = chain.v(mode);
+            if let Some(g) = &guards {
+                stats.nan_resets += scrub_nonfinite(&mut y);
+                // Scrubbing applies to the joined product only — the
+                // chain's cached partials stay as computed.
+                stats.nan_resets += scrub_nonfinite(&mut v);
+                if spd_condition(&v) > g.ropts.cond_limit {
+                    // Relative ridge: λI scaled to the matrix's own magnitude.
+                    let trace: f32 = (0..opts.rank).map(|i| v.get(i, i)).sum();
+                    let mu = g.ropts.ridge * (trace / opts.rank as f32).max(f32::MIN_POSITIVE);
+                    for i in 0..opts.rank {
+                        v.set(i, i, v.get(i, i) + mu);
+                    }
+                    stats.tikhonov_fallbacks += 1;
+                }
+            }
+            match update {
+                Update::LeastSquares => {
+                    let mut a_new = y.matmul(&pseudo_inverse(&v));
+                    if guards.is_some() {
+                        stats.nan_resets += scrub_nonfinite(&mut a_new);
+                    }
+                    lambda = a_new.normalize_columns();
+                    floor_lambda(&mut lambda, guards.is_some());
+                    factors[mode] = a_new;
+                }
+                Update::NonNeg => {
+                    const EPS: f32 = 1e-12;
+                    // Denominator A·V, then the multiplicative update.
+                    let denom = factors[mode].matmul(&v);
+                    let a = &mut factors[mode];
+                    for i in 0..a.rows() {
+                        for c in 0..opts.rank {
+                            let upd = a.get(i, c) * y.get(i, c) / (denom.get(i, c) + EPS);
+                            a.set(i, c, upd.max(0.0));
+                        }
+                    }
                 }
             }
             grams[mode] = factors[mode].gram();
             chain.advance(&grams[mode]);
         }
         iterations += 1;
-        let lambda_ones = vec![1.0f32; opts.rank];
-        let fit = compute_fit(t, &factors, &lambda_ones, &grams, norm_x);
+
+        let inner = (norm.inner)(&factors, &lambda)?;
+        let fit = fit_from_inner(inner, &lambda, &grams, norm.norm_x);
         fits.push(fit);
-        if let Some(m) = manifest.as_deref_mut() {
+        if let Some(m) = obs.manifest.as_deref_mut() {
             m.push_iteration(fit, mode_timings, iter_start.elapsed().as_secs_f64());
+        }
+        if let Some(c) = obs.ctx {
+            note_iteration(c, iterations - 1, fit, iter_sim_start);
+        }
+
+        if let Some(g) = guards.as_mut() {
+            let regressed = fit.is_nan() || fit < best_fit - g.ropts.fit_drop_tol;
+            let rollback_target = if regressed && stats.rollbacks < g.ropts.max_rollbacks {
+                checkpoint.as_ref()
+            } else {
+                None
+            };
+            if let Some(cp) = rollback_target {
+                // Roll back and re-jitter so the retried trajectory draws
+                // different fault sites than the one that regressed.
+                factors = cp.factors.clone();
+                lambda = cp.lambda.clone();
+                prev_fit = cp.fit;
+                stats.rollbacks += 1;
+                let jitter_seed = opts.seed.wrapping_add(0x5EED).wrapping_add(stats.rollbacks);
+                for (m, f) in factors.iter_mut().enumerate() {
+                    let noise = Matrix::random(f.rows(), f.cols(), jitter_seed + m as u64);
+                    for (v, &nz) in f.data_mut().iter_mut().zip(noise.data()) {
+                        *v += 1e-3 * nz;
+                    }
+                }
+                grams = factors.iter().map(Matrix::gram).collect();
+                continue;
+            }
+            if fit.is_finite() && fit > best_fit {
+                best_fit = fit;
+            }
+            let every = g.ropts.checkpoint_every;
+            if every > 0 && iterations % every == 0 && fit.is_finite() {
+                checkpoint = Some(Checkpoint {
+                    factors: factors.clone(),
+                    lambda: lambda.clone(),
+                    fit,
+                });
+                stats.checkpoints += 1;
+                if let Some(d) = g.durable.as_deref_mut() {
+                    if !d.write(obs.ctx, iterations, &factors, &lambda, &fits) {
+                        break;
+                    }
+                }
+            }
         }
         if iterations > 1 && (fit - prev_fit).abs() < opts.tol {
             break;
         }
         prev_fit = fit;
     }
-    if let Some(m) = manifest {
+    if let Some(m) = obs.manifest {
         m.total_seconds = run_start.elapsed().as_secs_f64();
-    }
-
-    // Absorb column norms into λ at the end (updates stay unnormalized).
-    let mut lambda = vec![1.0f32; opts.rank];
-    if let Some(last) = factors.last_mut() {
-        lambda = last.normalize_columns();
-        for l in &mut lambda {
-            if *l == 0.0 {
-                *l = 1e-30;
-            }
+        if guards.is_some() {
+            m.resilience.merge(&ResilienceRecord {
+                rollbacks: stats.rollbacks,
+                nan_resets: stats.nan_resets,
+                tikhonov_fallbacks: stats.tikhonov_fallbacks,
+                checkpoints: stats.checkpoints,
+                ..ResilienceRecord::default()
+            });
         }
     }
-    CpdResult {
+    if update == Update::NonNeg {
+        // Absorb column norms into λ at the end (updates stay unnormalized).
+        if let Some(last) = factors.last_mut() {
+            lambda = last.normalize_columns();
+            floor_lambda(&mut lambda, false);
+        }
+    }
+
+    let result = CpdResult {
         factors,
         lambda,
         fits,
         iterations,
+    };
+    Ok((result, stats))
+}
+
+/// Guards against zero columns collapsing the decomposition; guarded
+/// runs also replace non-finite weights.
+fn floor_lambda(lambda: &mut [f32], guarded: bool) {
+    for l in lambda {
+        if *l == 0.0 || (guarded && !l.is_finite()) {
+            *l = 1e-30;
+        }
     }
 }
 
-/// Fit = `1 − ‖X − X̃‖ / ‖X‖`, computed without materializing `X̃`:
-/// `‖X − X̃‖² = ‖X‖² − 2⟨X, X̃⟩ + ‖X̃‖²` with
-/// `⟨X, X̃⟩ = Σ_z val_z Σ_r λ_r Π_m Aₘ(i_m, r)` and
-/// `‖X̃‖² = Σ_{r,s} λ_r λ_s Π_m (AₘᵀAₘ)_{r,s}`.
-fn compute_fit(
-    t: &CooTensor,
+/// Stamps `opts` into the manifest so the document matches the run.
+fn sync_manifest(manifest: &mut RunManifest, opts: &CpdOptions) {
+    manifest.rank = opts.rank;
+    manifest.max_iters = opts.max_iters;
+    manifest.tol = opts.tol;
+    manifest.seed = opts.seed;
+}
+
+/// Records one completed ALS iteration against the context's *simulated*
+/// clock: the `cpd.iter_sim_us` histogram plus an `iteration` event. The
+/// clock only moves when kernels replay through the context, so the
+/// delta is the iteration's total simulated kernel time — wall-clock
+/// timings stay in the manifest, deterministic timings live here.
+fn note_iteration(ctx: &GpuContext, iteration: usize, fit: f64, start_us: f64) {
+    let tel = &ctx.telemetry;
+    let sim_us = (tel.now_us() - start_us).max(0.0);
+    ctx.registry
+        .observe("cpd.iter_sim_us", sim_us.round() as u64);
+    if tel.enabled() {
+        tel.emit(
+            "iteration",
+            None,
+            tel.new_span(),
+            &[
+                ("iteration", simprof::FieldValue::from(iteration)),
+                ("fit", simprof::FieldValue::from(fit)),
+                ("iter_sim_us", simprof::FieldValue::from(sim_us)),
+            ],
+        );
+    }
+}
+
+/// `⟨X, X̃⟩` over the resident values — the data pass of the fit.
+fn inner_product(t: &CooTensor, factors: &[Matrix], lambda: &[f32]) -> f64 {
+    let mut inner = 0.0f64;
+    let mut prod = vec![0.0f32; lambda.len()];
+    for (z, &val) in t.values().iter().enumerate() {
+        inner += inner_term(factors, lambda, |m| t.mode_indices(m)[z], val, &mut prod);
+    }
+    inner
+}
+
+/// One entry's term of `⟨X, X̃⟩ = Σ_z val_z Σ_r λ_r Π_m Aₘ(i_m, r)`, for
+/// the entry at coordinates `coord(m)`; `prod` is rank-sized scratch.
+/// Shared by the resident and the streamed norm sources, so the two fold
+/// identical terms and their fits agree bit for bit.
+pub(crate) fn inner_term(
     factors: &[Matrix],
     lambda: &[f32],
-    grams: &[Matrix],
-    norm_x: f64,
+    coord: impl Fn(usize) -> sptensor::Index,
+    val: f32,
+    prod: &mut [f32],
 ) -> f64 {
-    let r = lambda.len();
-    let order = t.order();
-    // ⟨X, X̃⟩
-    let mut inner = 0.0f64;
-    let mut prod = vec![0.0f32; r];
-    for z in 0..t.nnz() {
-        for (c, p) in prod.iter_mut().enumerate() {
-            *p = lambda[c];
+    prod.copy_from_slice(lambda);
+    for (m, factor) in factors.iter().enumerate() {
+        for (p, &f) in prod.iter_mut().zip(factor.row(coord(m) as usize)) {
+            *p *= f;
         }
-        for m in 0..order {
-            let row = factors[m].row(t.mode_indices(m)[z] as usize);
-            for (p, &f) in prod.iter_mut().zip(row) {
-                *p *= f;
-            }
-        }
-        inner += t.values()[z] as f64 * prod.iter().map(|&p| p as f64).sum::<f64>();
     }
-    fit_from_inner(inner, lambda, grams, norm_x)
+    val as f64 * prod.iter().map(|&p| p as f64).sum::<f64>()
 }
 
-/// The data-independent tail of the fit formula: given the streaming- or
-/// resident-computed `⟨X, X̃⟩`, folds in `‖X̃‖²` from the grams and closes
-/// `1 − ‖X − X̃‖ / ‖X‖`. Shared by [`compute_fit`] and the out-of-core
-/// driver (`gpu::stream`), which computes `inner` over a chunk stream in
-/// the identical entry order — so the two fits agree bit for bit.
-pub(crate) fn fit_from_inner(inner: f64, lambda: &[f32], grams: &[Matrix], norm_x: f64) -> f64 {
+/// Fit = `1 − ‖X − X̃‖ / ‖X‖` from the norm source's `⟨X, X̃⟩`:
+/// `‖X − X̃‖² = ‖X‖² − 2⟨X, X̃⟩ + ‖X̃‖²` with
+/// `‖X̃‖² = Σ_{r,s} λ_r λ_s Π_m (AₘᵀAₘ)_{r,s}` from the grams.
+fn fit_from_inner(inner: f64, lambda: &[f32], grams: &[Matrix], norm_x: f64) -> f64 {
     let r = lambda.len();
     // ‖X̃‖²
     let mut model_sq = 0.0f64;
@@ -1467,11 +1413,52 @@ mod tests {
             seed: 9,
         };
         let mut manifest = RunManifest::new("reference-nonneg", "uniform-150", 0, 0, 0.0, 0);
-        let prof =
-            cpd_als_nonneg_profiled(&t, &opts, |f, m| reference::mttkrp(&t, f, m), &mut manifest);
+        let prof = cpd_als_nonneg_profiled(
+            &t,
+            &opts,
+            |f, m| reference::mttkrp(&t, f, m),
+            &mut manifest,
+            None,
+        );
         assert_eq!(manifest.iterations_run, prof.iterations);
         assert_eq!(manifest.final_fit, prof.final_fit());
         assert!(manifest.iterations.iter().all(|rec| rec.modes.len() == 3));
+    }
+
+    #[test]
+    fn nonneg_profiled_observes_every_iteration() {
+        use simprof::{RingSink, Telemetry, TelemetrySink};
+        use std::sync::Arc;
+
+        let t = sptensor::synth::uniform_random(&[6, 7, 8], 150, 5);
+        let opts = CpdOptions {
+            rank: 3,
+            max_iters: 4,
+            tol: 0.0,
+            seed: 9,
+        };
+        let ring = Arc::new(RingSink::new(256));
+        let tel = Telemetry::with_sink(Arc::clone(&ring) as Arc<dyn TelemetrySink>);
+        let ctx = GpuContext::tiny()
+            .with_profiling()
+            .with_events(Arc::new(tel));
+        let mut manifest = RunManifest::new("reference-nonneg", "uniform-150", 0, 0, 0.0, 0);
+        let res = cpd_als_nonneg_profiled(
+            &t,
+            &opts,
+            |f, m| reference::mttkrp(&t, f, m),
+            &mut manifest,
+            Some(&ctx),
+        );
+        assert_eq!(res.iterations, 4);
+        let events = ring.lines();
+        let iteration_events = events
+            .iter()
+            .filter(|l| l.contains("\"kind\":\"iteration\""))
+            .count();
+        assert_eq!(iteration_events, res.iterations, "one event per iteration");
+        let observed = ctx.registry.histogram("cpd.iter_sim_us").map(|h| h.count);
+        assert_eq!(observed, Some(res.iterations as u64));
     }
 
     #[test]

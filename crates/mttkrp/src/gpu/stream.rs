@@ -36,7 +36,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
 
-use dense::{pseudo_inverse, HadamardChain, Matrix};
+use dense::Matrix;
 use sptensor::source::CooChunk;
 use sptensor::spill::SortedChunks;
 use sptensor::{mode_orientation, IngestOptions, SpilledTensor, TensorError, TensorResult};
@@ -45,7 +45,7 @@ use tensor_formats::{BcsfOptions, Csf, Hbcsf};
 use super::common::GpuContext;
 use super::plan::{Plan, PlanBuilder};
 use super::sharded::shard_ranges;
-use crate::cpd::{fit_from_inner, CpdOptions, CpdResult};
+use crate::cpd::{als, inner_term, CpdOptions, CpdResult, Norm, Observer, Update};
 
 /// On-disk store of serialized shard plans, keyed `(mode, shard)`. Owns a
 /// fresh subdirectory of the root it was created under and removes it on
@@ -221,56 +221,52 @@ pub struct StreamedCpd {
     pub store_bytes: u64,
 }
 
-/// `Σ v²` over the spilled stream, folded in the identical entry order as
-/// the resident `norm_x` computation on the materialized tensor.
-fn stream_norm_x(spill: &SpilledTensor, chunk_nnz: usize) -> TensorResult<f64> {
+/// Feeds the spilled stream to `f` chunk by chunk (with the chunk's entry
+/// count), in merge order — the entry order of the materialized tensor.
+fn for_each_chunk(
+    spill: &SpilledTensor,
+    chunk_nnz: usize,
+    mut f: impl FnMut(&CooChunk, usize),
+) -> TensorResult<()> {
     let mut stream = spill.stream()?;
     let mut chunk = CooChunk::default();
-    let mut sum = 0.0f64;
     loop {
         let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
         if n == 0 {
-            break;
+            return Ok(());
         }
+        f(&chunk, n);
+    }
+}
+
+/// `‖X‖` over the spilled stream, folded in the identical entry order as
+/// the resident computation on the materialized tensor.
+fn stream_norm_x(spill: &SpilledTensor, chunk_nnz: usize) -> TensorResult<f64> {
+    let mut sum = 0.0f64;
+    for_each_chunk(spill, chunk_nnz, |chunk, n| {
         for &v in &chunk.vals[..n] {
             sum += (v as f64) * (v as f64);
         }
-    }
+    })?;
     Ok(sum.sqrt())
 }
 
-/// `⟨X, X̃⟩` over the spilled stream — per entry the exact arithmetic of
-/// the resident `compute_fit` inner loop, in the same order.
+/// `⟨X, X̃⟩` over the spilled stream — the resident fit's per-entry
+/// terms, folded in the same order.
 fn stream_inner(
     spill: &SpilledTensor,
     chunk_nnz: usize,
     factors: &[Matrix],
     lambda: &[f32],
 ) -> TensorResult<f64> {
-    let order = spill.dims().len();
-    let r = lambda.len();
-    let mut stream = spill.stream()?;
-    let mut chunk = CooChunk::default();
     let mut inner = 0.0f64;
-    let mut prod = vec![0.0f32; r];
-    loop {
-        let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
-        if n == 0 {
-            break;
-        }
+    let mut prod = vec![0.0f32; lambda.len()];
+    for_each_chunk(spill, chunk_nnz, |chunk, n| {
         for i in 0..n {
-            for (c, p) in prod.iter_mut().enumerate() {
-                *p = lambda[c];
-            }
-            for m in 0..order {
-                let row = factors[m].row(chunk.coords[m][i] as usize);
-                for (p, &f) in prod.iter_mut().zip(row) {
-                    *p *= f;
-                }
-            }
-            inner += chunk.vals[i] as f64 * prod.iter().map(|&p| p as f64).sum::<f64>();
+            let coord = |m: usize| chunk.coords[m][i];
+            inner += inner_term(factors, lambda, coord, chunk.vals[i], &mut prod);
         }
-    }
+    })?;
     Ok(inner)
 }
 
@@ -320,51 +316,27 @@ pub fn cpd_als_streamed(
     }
     let store_bytes = store.bytes_on_disk();
 
-    // ALS phase: the exact update sequence of `cpd_als`, with the MTTKRP
-    // served by sequential shard replay and the fit's inner product
-    // streamed off the spill.
-    let mut factors = crate::reference::random_factors_for_dims(&dims, rank, opts.cpd.seed);
-    let mut lambda = vec![1.0f32; rank];
-    let mut grams: Vec<Matrix> = factors.iter().map(Matrix::gram).collect();
-    let norm_x = stream_norm_x(spill, chunk_nnz)?;
-
-    let mut fits = Vec::new();
-    let mut prev_fit = 0.0f64;
-    let mut iterations = 0;
-    for _iter in 0..opts.cpd.max_iters {
-        let mut chain = HadamardChain::new(&grams, rank);
-        for mode in 0..order {
-            let y = replay_mode(&store, mode, rank, &factors)?;
-            let v = chain.v(mode);
-            let mut a_new = y.matmul(&pseudo_inverse(&v));
-            lambda = a_new.normalize_columns();
-            for l in &mut lambda {
-                if *l == 0.0 {
-                    *l = 1e-30;
-                }
-            }
-            grams[mode] = a_new.gram();
-            chain.advance(&grams[mode]);
-            factors[mode] = a_new;
-        }
-        iterations += 1;
-
-        let inner = stream_inner(spill, chunk_nnz, &factors, &lambda)?;
-        let fit = fit_from_inner(inner, &lambda, &grams, norm_x);
-        fits.push(fit);
-        if iterations > 1 && (fit - prev_fit).abs() < opts.cpd.tol {
-            break;
-        }
-        prev_fit = fit;
-    }
+    // ALS phase: the engine behind `cpd_als`, with the MTTKRP served by
+    // sequential shard replay and the fit's inner product streamed off
+    // the spill.
+    let factors = crate::reference::random_factors_for_dims(&dims, rank, opts.cpd.seed);
+    let norm = Norm {
+        norm_x: stream_norm_x(spill, chunk_nnz)?,
+        inner: |factors: &[Matrix], lambda: &[f32]| stream_inner(spill, chunk_nnz, factors, lambda),
+    };
+    let replay = |factors: &[Matrix], mode: usize| replay_mode(&store, mode, rank, factors);
+    let (result, _) = als(
+        factors,
+        &opts.cpd,
+        Update::LeastSquares,
+        norm,
+        replay,
+        None,
+        Observer::default(),
+    )?;
 
     Ok(StreamedCpd {
-        result: CpdResult {
-            factors,
-            lambda,
-            fits,
-            iterations,
-        },
+        result,
         shards_per_mode,
         store_bytes,
     })

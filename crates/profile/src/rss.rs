@@ -39,8 +39,10 @@ mod tests {
     #[test]
     fn peak_rss_is_positive_and_at_least_current() {
         // Both probes must parse on Linux; peak >= current by definition.
-        let peak = peak_rss_bytes().expect("VmHWM should parse on Linux");
+        // Current is read first: parallel tests allocate between the two
+        // reads, and only the high-water mark is monotone.
         let cur = current_rss_bytes().expect("VmRSS should parse on Linux");
+        let peak = peak_rss_bytes().expect("VmHWM should parse on Linux");
         assert!(peak > 0);
         assert!(peak >= cur, "peak {peak} < current {cur}");
     }

@@ -1,4 +1,6 @@
-//! FROSTT `.tns` text format I/O.
+//! FROSTT `.tns` text and `SPT1` binary writers, plus the duplicate
+//! policy readers honor. Reading goes through [`crate::ingest`] with a
+//! [`TnsSource`](crate::TnsSource) or [`BinSource`](crate::BinSource).
 //!
 //! The paper's datasets come from FROSTT and HaTen2 in the `.tns` format:
 //! one nonzero per line, whitespace-separated **1-based** indices followed
@@ -7,9 +9,9 @@
 //! synthetic stand-ins by default, but real data can be dropped in through
 //! this module.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
-use crate::{CooTensor, Index, TensorError, TensorResult};
+use crate::CooTensor;
 
 /// What to do when two input nonzeros carry identical coordinates.
 ///
@@ -28,35 +30,6 @@ pub enum DuplicatePolicy {
     /// Keep every entry as stored. Downstream kernels treat duplicates as
     /// additive COO entries; formats may fold them.
     Keep,
-}
-
-/// Reads a tensor from `.tns` text, rejecting duplicate coordinates.
-///
-/// Every malformed line — bad token, 0 or out-of-range index, non-finite
-/// value — is rejected with a [`TensorError::Parse`] naming the offending
-/// line; this function never panics on hostile input.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `sptensor::ingest(TnsSource::new(reader), &IngestOptions::new())`"
-)]
-pub fn read_tns<R: BufRead>(reader: R) -> TensorResult<CooTensor> {
-    #[allow(deprecated)]
-    read_tns_with(reader, DuplicatePolicy::Reject)
-}
-
-/// Reads a tensor from `.tns` text under an explicit [`DuplicatePolicy`].
-/// Order is inferred from the first data line; extents are per-mode maxima
-/// (so empty trailing hyperplanes are not representable, same as FROSTT
-/// itself).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `sptensor::ingest(TnsSource::new(reader), &IngestOptions::new().with_policy(policy))`"
-)]
-pub fn read_tns_with<R: BufRead>(reader: R, policy: DuplicatePolicy) -> TensorResult<CooTensor> {
-    crate::source::ingest(
-        crate::source::TnsSource::new(reader),
-        &crate::source::IngestOptions::new().with_policy(policy),
-    )
 }
 
 /// Writes a tensor in `.tns` text (1-based indices). Values use Rust's
@@ -125,7 +98,8 @@ pub const BIN_MAGIC: &[u8; 4] = b"SPT1";
 /// `"SPT1"`, `u8` order, `order × u32` extents, `u64` nonzero count, the
 /// mode index arrays (`u32` each), then the values (`f32`). Roughly 10×
 /// faster to load than `.tns` text — useful for caching generated
-/// stand-ins between experiment runs.
+/// stand-ins between experiment runs. Read it back with
+/// [`BinSource`](crate::BinSource).
 pub fn write_bin<W: Write>(t: &CooTensor, mut w: W) -> io::Result<()> {
     w.write_all(BIN_MAGIC)?;
     w.write_all(&[t.order() as u8])?;
@@ -144,62 +118,31 @@ pub fn write_bin<W: Write>(t: &CooTensor, mut w: W) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads a tensor written by [`write_bin`].
-///
-/// Hardened against hostile headers: a declared nonzero count that does
-/// not fit `usize` (32-bit hosts) or whose total byte size overflows is a
-/// typed error, not a wrap or an abort; preallocation is capped so a huge
-/// declared count on a tiny stream fails with `UnexpectedEof` instead of
-/// exhausting memory. Duplicate coordinates are preserved as stored (the
-/// writer is the only producer of this format; use
-/// [`CooTensor::fold_duplicates`] or ingestion with an explicit
-/// [`DuplicatePolicy`] when input provenance is untrusted).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `sptensor::ingest(BinSource::new(reader)?, &opts)` (seekable, chunked) instead"
-)]
-pub fn read_bin<R: io::Read>(mut r: R) -> TensorResult<CooTensor> {
-    let (dims, nnz_u64) = crate::source::read_bin_header(&mut r)?;
-    let order = dims.len();
-    let nnz = nnz_u64 as usize;
-    let mut u32buf = [0u8; 4];
-    // Cap the speculative preallocation: a hostile header declaring 2^50
-    // nonzeros over a 30-byte stream should die on a short read, not an
-    // allocation failure.
-    let prealloc = nnz.min(1 << 20);
-    let mut inds: Vec<Vec<Index>> = Vec::with_capacity(order);
-    for _ in 0..order {
-        let mut arr = Vec::with_capacity(prealloc);
-        for _ in 0..nnz {
-            r.read_exact(&mut u32buf)?;
-            arr.push(u32::from_le_bytes(u32buf));
-        }
-        inds.push(arr);
-    }
-    let mut vals = Vec::with_capacity(prealloc);
-    for _ in 0..nnz {
-        r.read_exact(&mut u32buf)?;
-        vals.push(f32::from_le_bytes(u32buf));
-    }
-    // from_parts validates ranges; map the panic to a typed error instead.
-    for (m, arr) in inds.iter().enumerate() {
-        if let Some(&bad) = arr.iter().find(|&&i| i >= dims[m]) {
-            return Err(TensorError::invalid(
-                "spt1",
-                format!("mode {m} index {bad} out of range"),
-            ));
-        }
-    }
-    Ok(CooTensor::from_parts(dims, inds, vals))
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated shims stay under test for their release cycle: they
-    // must keep reproducing the exact legacy behavior they promise.
-    #![allow(deprecated)]
     use super::*;
-    use std::io::BufReader;
+    use crate::source::{ingest, BinSource, IngestOptions, TnsSource};
+    use crate::{TensorError, TensorResult};
+    use std::io::Cursor;
+
+    /// `.tns` text through the ingestion API under `policy`.
+    fn tns_with(text: &[u8], policy: DuplicatePolicy) -> TensorResult<CooTensor> {
+        ingest(
+            TnsSource::new(text),
+            &IngestOptions::new().with_policy(policy),
+        )
+    }
+
+    /// `.tns` text under the default policy (duplicates rejected).
+    fn tns(text: &[u8]) -> TensorResult<CooTensor> {
+        tns_with(text, DuplicatePolicy::Reject)
+    }
+
+    /// `SPT1` bytes through [`BinSource`], entries kept as stored.
+    fn bin(bytes: &[u8]) -> TensorResult<CooTensor> {
+        let opts = IngestOptions::new().with_policy(DuplicatePolicy::Keep);
+        ingest(BinSource::new(Cursor::new(bytes))?, &opts)
+    }
 
     #[test]
     fn round_trip() {
@@ -208,7 +151,7 @@ mod tests {
         t.push(&[2, 3, 4], -2.0);
         let mut out = Vec::new();
         write_tns(&t, &mut out).unwrap();
-        let back = read_tns(BufReader::new(&out[..])).unwrap();
+        let back = tns(&out[..]).unwrap();
         assert_eq!(back.nnz(), 2);
         assert_eq!(back.dims(), &[3, 4, 5]);
         assert_eq!(back.coords_of(1), vec![2, 3, 4]);
@@ -245,7 +188,7 @@ mod tests {
     #[test]
     fn skips_comments_and_blanks() {
         let text = "# a comment\n\n1 1 1 3.0\n2 2 2 4.0\n";
-        let t = read_tns(BufReader::new(text.as_bytes())).unwrap();
+        let t = tns(text.as_bytes()).unwrap();
         assert_eq!(t.nnz(), 2);
         assert_eq!(t.dims(), &[2, 2, 2]);
     }
@@ -253,27 +196,26 @@ mod tests {
     #[test]
     fn rejects_zero_index() {
         let text = "0 1 1 3.0\n";
-        assert!(read_tns(BufReader::new(text.as_bytes())).is_err());
+        assert!(tns(text.as_bytes()).is_err());
     }
 
     #[test]
     fn rejects_ragged_rows() {
         let text = "1 1 1 3.0\n1 1 4.0\n";
-        assert!(read_tns(BufReader::new(text.as_bytes())).is_err());
+        assert!(tns(text.as_bytes()).is_err());
     }
 
     #[test]
     fn rejects_empty_input() {
         let text = "# only comments\n";
-        assert!(read_tns(BufReader::new(text.as_bytes())).is_err());
+        assert!(tns(text.as_bytes()).is_err());
     }
 
     #[test]
     fn rejects_non_finite_values_with_line_number() {
         for bad in ["NaN", "inf", "-inf", "Infinity"] {
             let text = format!("# header\n1 1 1 3.0\n2 2 2 {bad}\n");
-            let err =
-                read_tns(BufReader::new(text.as_bytes())).expect_err("non-finite must be rejected");
+            let err = tns(text.as_bytes()).expect_err("non-finite must be rejected");
             match err {
                 TensorError::Parse { line, ref msg } => {
                     assert_eq!(line, 3, "{bad}: wrong line in {err}");
@@ -287,7 +229,7 @@ mod tests {
     #[test]
     fn errors_carry_one_based_line_numbers() {
         let text = "1 1 1 3.0\n0 1 1 2.0\n";
-        match read_tns(BufReader::new(text.as_bytes())) {
+        match tns(text.as_bytes()) {
             Err(TensorError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected Parse error, got {other:?}"),
         }
@@ -296,7 +238,7 @@ mod tests {
     #[test]
     fn parses_scientific_values() {
         let text = "1 2 3 1e-3\n";
-        let t = read_tns(BufReader::new(text.as_bytes())).unwrap();
+        let t = tns(text.as_bytes()).unwrap();
         assert!((t.values()[0] - 1e-3).abs() < 1e-9);
     }
 
@@ -305,14 +247,14 @@ mod tests {
         let t = crate::synth::uniform_random(&[20, 30, 40, 7], 500, 9);
         let mut buf = Vec::new();
         write_bin(&t, &mut buf).unwrap();
-        let back = read_bin(&buf[..]).unwrap();
+        let back = bin(&buf[..]).unwrap();
         assert_eq!(back, t);
     }
 
     #[test]
     fn binary_rejects_bad_magic() {
         let buf = b"NOPE\x03".to_vec();
-        assert!(read_bin(&buf[..]).is_err());
+        assert!(bin(&buf[..]).is_err());
     }
 
     #[test]
@@ -321,7 +263,7 @@ mod tests {
         let mut buf = Vec::new();
         write_bin(&t, &mut buf).unwrap();
         buf.truncate(buf.len() - 3);
-        assert!(read_bin(&buf[..]).is_err());
+        assert!(bin(&buf[..]).is_err());
     }
 
     #[test]
@@ -332,7 +274,7 @@ mod tests {
         // Corrupt a mode-0 index to 255 (> extent 4). Header is
         // 4 (magic) + 1 (order) + 8 (dims) + 8 (nnz) = 21 bytes.
         buf[21] = 255;
-        assert!(read_bin(&buf[..]).is_err());
+        assert!(bin(&buf[..]).is_err());
     }
 
     #[test]
@@ -340,7 +282,7 @@ mod tests {
         let t = CooTensor::new(vec![3, 3]);
         let mut buf = Vec::new();
         write_bin(&t, &mut buf).unwrap();
-        let back = read_bin(&buf[..]).unwrap();
+        let back = bin(&buf[..]).unwrap();
         assert_eq!(back.nnz(), 0);
         assert_eq!(back.dims(), &[3, 3]);
     }
@@ -348,7 +290,7 @@ mod tests {
     #[test]
     fn duplicates_are_typed_errors_by_default() {
         let text = "1 2 3 1.0\n2 2 2 5.0\n1 2 3 4.0\n";
-        match read_tns(BufReader::new(text.as_bytes())) {
+        match tns(text.as_bytes()) {
             Err(TensorError::Duplicate { line, ref coords }) => {
                 assert_eq!(line, 3, "must name the second occurrence");
                 assert_eq!(coords, &[0, 1, 2], "0-based stored coordinates");
@@ -360,7 +302,7 @@ mod tests {
     #[test]
     fn duplicate_policy_sum_folds_in_place() {
         let text = "1 2 3 1.0\n2 2 2 5.0\n1 2 3 4.0\n";
-        let t = read_tns_with(BufReader::new(text.as_bytes()), DuplicatePolicy::Sum).unwrap();
+        let t = tns_with(text.as_bytes(), DuplicatePolicy::Sum).unwrap();
         assert_eq!(t.nnz(), 2);
         assert_eq!(t.coords_of(0), vec![0, 1, 2]);
         assert_eq!(t.values(), &[5.0, 5.0], "sum lands at first occurrence");
@@ -369,7 +311,7 @@ mod tests {
     #[test]
     fn duplicate_policy_keep_preserves_entries() {
         let text = "1 2 3 1.0\n1 2 3 4.0\n";
-        let t = read_tns_with(BufReader::new(text.as_bytes()), DuplicatePolicy::Keep).unwrap();
+        let t = tns_with(text.as_bytes(), DuplicatePolicy::Keep).unwrap();
         assert_eq!(t.nnz(), 2);
         assert_eq!(t.values(), &[1.0, 4.0]);
     }
@@ -382,10 +324,7 @@ mod tests {
         buf.extend_from_slice(&3u32.to_le_bytes());
         buf.extend_from_slice(&0u32.to_le_bytes());
         buf.extend_from_slice(&0u64.to_le_bytes());
-        assert!(matches!(
-            read_bin(&buf[..]),
-            Err(TensorError::Invalid { .. })
-        ));
+        assert!(matches!(bin(&buf[..]), Err(TensorError::Invalid { .. })));
 
         // Header claiming 2^60 nonzeros over an empty body: must die on a
         // short read (capped preallocation), not an allocation abort.
@@ -394,7 +333,7 @@ mod tests {
         buf.extend_from_slice(&3u32.to_le_bytes());
         buf.extend_from_slice(&3u32.to_le_bytes());
         buf.extend_from_slice(&(1u64 << 60).to_le_bytes());
-        assert!(matches!(read_bin(&buf[..]), Err(TensorError::Io(_))));
+        assert!(matches!(bin(&buf[..]), Err(TensorError::Io(_))));
 
         // A count whose total byte size overflows u64 is a typed error.
         let mut buf = BIN_MAGIC.to_vec();
@@ -403,7 +342,7 @@ mod tests {
             buf.extend_from_slice(&1u32.to_le_bytes());
         }
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        let err = read_bin(&buf[..]);
+        let err = bin(&buf[..]);
         assert!(err.is_err(), "overflowing size must be rejected");
     }
 
@@ -441,8 +380,8 @@ mod tests {
             fn parser_never_panics_on_arbitrary_bytes(bytes in pvec(any::<u8>(), 0..200)) {
                 // Any outcome is fine; reaching it without a panic is the
                 // property (lines() surfaces invalid UTF-8 as io errors).
-                let _ = read_tns(BufReader::new(&bytes[..]));
-                let _ = read_bin(&bytes[..]);
+                let _ = tns(&bytes[..]);
+                let _ = bin(&bytes[..]);
             }
 
             #[test]
@@ -465,7 +404,7 @@ mod tests {
                     .collect::<Vec<_>>()
                     .join("\n");
                 for policy in [DuplicatePolicy::Reject, DuplicatePolicy::Sum, DuplicatePolicy::Keep] {
-                    if let Ok(t) = read_tns_with(BufReader::new(text.as_bytes()), policy) {
+                    if let Ok(t) = tns_with(text.as_bytes(), policy) {
                         prop_assert!(t.validate().is_ok(), "parser accepted an invalid tensor");
                     }
                 }
@@ -474,14 +413,14 @@ mod tests {
             #[test]
             fn valid_documents_round_trip(doc in arb_valid_tns()) {
                 let (text, order, nnz) = doc;
-                let t = read_tns(BufReader::new(text.as_bytes()))
+                let t = tns(text.as_bytes())
                     .expect("valid unique-coordinate document");
                 prop_assert_eq!(t.order(), order);
                 prop_assert_eq!(t.nnz(), nnz);
                 prop_assert!(t.validate().is_ok());
                 let mut out = Vec::new();
                 write_tns(&t, &mut out).expect("write to vec");
-                let back = read_tns(BufReader::new(&out[..])).expect("round trip");
+                let back = tns(&out[..]).expect("round trip");
                 prop_assert_eq!(back, t);
             }
 
@@ -503,10 +442,10 @@ mod tests {
                 }
                 let mut text = Vec::new();
                 write_tns(&t, &mut text).expect("write tns");
-                let from_text = read_tns(BufReader::new(&text[..])).expect("re-read tns");
-                let mut bin = Vec::new();
-                write_bin(&from_text, &mut bin).expect("write bin");
-                let from_bin = read_bin(&bin[..]).expect("re-read bin");
+                let from_text = tns(&text[..]).expect("re-read tns");
+                let mut spt1 = Vec::new();
+                write_bin(&from_text, &mut spt1).expect("write bin");
+                let from_bin = bin(&spt1[..]).expect("re-read bin");
                 let mut text2 = Vec::new();
                 write_tns(&from_bin, &mut text2).expect("write tns again");
                 prop_assert_eq!(&text2, &text, "tns -> bin -> tns drifted");
@@ -527,7 +466,7 @@ mod tests {
                 let pos = pos % buf.len();
                 buf[pos] = byte;
                 // Either a typed error or a structurally valid tensor.
-                if let Ok(back) = read_bin(&buf[..]) {
+                if let Ok(back) = bin(&buf[..]) {
                     prop_assert!(back.validate().is_ok());
                 }
             }

@@ -1,17 +1,16 @@
 //! Typed tensor ingestion: the [`TensorSource`] API.
 //!
-//! This replaces the loose free-function readers (`read_tns`,
-//! `read_tns_with`, `read_bin`) with a pull-based chunk protocol. A
-//! [`TensorSource`] yields fixed-size batches of raw nonzeros
-//! ([`CooChunk`]) instead of one resident `CooTensor`, so the same
+//! Every reader is a pull-based chunk protocol: a [`TensorSource`]
+//! yields fixed-size batches of raw nonzeros ([`CooChunk`]) instead of
+//! one resident `CooTensor`, so the same
 //! parsers drive both the in-core assembly path ([`ingest`]) and the
 //! bounded-memory spill path ([`crate::spill`]). Ingestion behavior —
 //! duplicate policy, chunk size, host-memory budget, progress events —
 //! is configured through [`IngestOptions`].
 //!
-//! Contract: for any chunk size, [`ingest`] produces exactly the tensor
-//! (and exactly the errors, down to line numbers) that the legacy
-//! whole-file readers produced. Chunk boundaries are invisible.
+//! Contract: for any chunk size, [`ingest`] produces exactly the same
+//! tensor (and exactly the same errors, down to line numbers). Chunk
+//! boundaries are invisible.
 
 use std::io::{BufRead, Read, Seek, SeekFrom};
 use std::sync::Arc;
@@ -364,9 +363,8 @@ impl<R: BufRead> TensorSource for TnsSource<R> {
 // ---------------------------------------------------------------------
 
 /// Reads and validates an SPT1 header; returns `(dims, nnz)` and leaves
-/// the reader at the first index byte. Shared by [`BinSource`] and the
-/// legacy whole-file reader.
-pub(crate) fn read_bin_header<R: Read>(r: &mut R) -> TensorResult<(Vec<Index>, u64)> {
+/// the reader at the first index byte.
+fn read_bin_header<R: Read>(r: &mut R) -> TensorResult<(Vec<Index>, u64)> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != crate::io::BIN_MAGIC {
@@ -560,7 +558,7 @@ impl TensorSource for CooSource {
 /// configured [`DuplicatePolicy`] with whole-stream semantics: the
 /// dedup state persists across chunks, so the result (tensor or typed
 /// error, including the reported line) is identical for every chunk
-/// size — and identical to what the legacy whole-file readers produced.
+/// size.
 pub fn ingest<S: TensorSource>(mut source: S, opts: &IngestOptions) -> TensorResult<CooTensor> {
     use std::collections::HashMap;
 
