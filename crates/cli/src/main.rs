@@ -14,7 +14,6 @@
 //! File format by extension: `.tns` = FROSTT text, anything else = the
 //! crate's `SPT1` binary.
 
-use std::cell::RefCell;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
@@ -23,14 +22,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gpu_sim::{DeviceMemory, FaultPlan, Interconnect};
-use mttkrp::abft::{run_verified, AbftOptions};
+use mttkrp::abft::AbftOptions;
 use mttkrp::cpd::{
-    cpd_als, cpd_als_adaptive, cpd_als_nonneg, cpd_als_nonneg_profiled, cpd_als_profiled,
-    cpd_als_resilient, cpd_als_resilient_durable, cpd_als_sharded, CpdOptions, DurableOptions,
-    ResilienceOptions,
+    cpd_als, cpd_als_nonneg, cpd_als_nonneg_profiled, cpd_als_profiled, cpd_als_resilient,
+    cpd_als_resilient_durable, CpdOptions, DurableOptions, ResilienceOptions,
 };
 use mttkrp::cpu::splatt::{SplattCsf, SplattOptions};
-use mttkrp::gpu::{self, GpuContext, MemReport, MttkrpKernel, OocOptions};
+use mttkrp::gpu::{self, GpuContext, MemReport, MttkrpKernel};
 use mttkrp::reference::random_factors;
 use serve::{Service, ServiceConfig, Workload, WorkloadConfig};
 use sptensor::stats::ModeStats;
@@ -176,6 +174,43 @@ fn usage() {
 
 type Result<T> = std::result::Result<T, String>;
 
+/// `println!` for command output, shadowing std's for the whole CLI. A
+/// closed stdout is not an error: when the reader of a pipe has seen
+/// enough and exited (`sptk info f | head -1`), the rest of the output is
+/// dropped and the command still runs to completion, so its files and
+/// exit status are those of an unpiped run.
+macro_rules! println {
+    () => {
+        write_out(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` with the closed-pipe handling of this crate's `println!`.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_out(format_args!($($arg)*))
+    };
+}
+
+fn write_out(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if cfg!(test) {
+        // Unit tests keep libtest's output capture, which only sees std's
+        // print macros.
+        std::print!("{args}");
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: writing to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -239,49 +274,17 @@ fn parse_mem_capacity(args: &[String]) -> Result<Option<MemCapacity>> {
     let Some(raw) = flag(args, "--mem-capacity") else {
         return Ok(None);
     };
-    let s = raw.trim().to_ascii_lowercase();
     let bad =
         || format!("--mem-capacity wants bytes (with k/m/g) or a fraction like 0.7x, got '{raw}'");
-    if let Some(frac) = s.strip_suffix('x') {
+    if let Some(frac) = raw.trim().to_ascii_lowercase().strip_suffix('x') {
         let f: f64 = frac.parse().map_err(|_| bad())?;
         if !(f.is_finite() && f > 0.0) {
             return Err(bad());
         }
         return Ok(Some(MemCapacity::FootprintFraction(f)));
     }
-    let (digits, mult) = match s.as_bytes().last() {
-        Some(b'k') => (&s[..s.len() - 1], 1u64 << 10),
-        Some(b'm') => (&s[..s.len() - 1], 1u64 << 20),
-        Some(b'g') => (&s[..s.len() - 1], 1u64 << 30),
-        _ => (s.as_str(), 1),
-    };
-    let n: f64 = digits.parse().map_err(|_| bad())?;
-    if !(n.is_finite() && n > 0.0) {
-        return Err(bad());
-    }
-    Ok(Some(MemCapacity::Bytes((n * mult as f64) as u64)))
-}
-
-/// Parses `--devices N [--interconnect SPEC]` into a grid request:
-/// `None` when `--devices` is absent (single-device paths), otherwise the
-/// device count plus the priced interconnect (default nvlink).
-fn parse_grid(args: &[String]) -> Result<(Option<usize>, Interconnect)> {
-    let devices = match flag(args, "--devices") {
-        None => None,
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("--devices wants a count, got '{v}'"))?;
-            if n == 0 {
-                return Err("--devices wants at least 1".into());
-            }
-            Some(n)
-        }
-    };
-    let interconnect =
-        Interconnect::parse(&flag(args, "--interconnect").unwrap_or_else(|| "nvlink".into()))
-            .map_err(|e| format!("--interconnect: {e}"))?;
-    Ok((devices, interconnect))
+    let bytes = parse_byte_size(&raw, "--mem-capacity").map_err(|_| bad())?;
+    Ok(Some(MemCapacity::Bytes(bytes)))
 }
 
 impl MemCapacity {
@@ -291,6 +294,85 @@ impl MemCapacity {
             MemCapacity::Bytes(b) => b,
             MemCapacity::FootprintFraction(f) => (worst_footprint as f64 * f).ceil() as u64,
         }
+    }
+}
+
+/// The device flags `sptk mttkrp` and `sptk cpd` share: `--faults`,
+/// `--mem-faults`, `--mem-capacity`, `--devices` and `--interconnect`.
+/// [`DeviceFlags::executor`] turns them into the one [`gpu::Executor`]
+/// every launch of the command goes through.
+struct DeviceFlags {
+    faults: Option<FaultPlan>,
+    mem_capacity: Option<MemCapacity>,
+    devices: Option<usize>,
+    interconnect: Interconnect,
+}
+
+impl DeviceFlags {
+    /// `--devices` absent means the single-device ladder; the
+    /// interconnect defaults to nvlink.
+    fn parse(args: &[String]) -> Result<DeviceFlags> {
+        let faults = parse_faults(args)?;
+        let mem_capacity = parse_mem_capacity(args)?;
+        let devices = match flag(args, "--devices") {
+            None => None,
+            Some(v) => match v.parse::<usize>() {
+                Ok(0) => return Err("--devices wants at least 1".into()),
+                Ok(n) => Some(n),
+                Err(_) => return Err(format!("--devices wants a count, got '{v}'")),
+            },
+        };
+        let interconnect =
+            Interconnect::parse(&flag(args, "--interconnect").unwrap_or_else(|| "nvlink".into()))
+                .map_err(|e| format!("--interconnect: {e}"))?;
+        Ok(DeviceFlags {
+            faults,
+            mem_capacity,
+            devices,
+            interconnect,
+        })
+    }
+
+    /// Whether device memory is modeled (a capacity or allocator faults),
+    /// which puts launches on the out-of-core ladder.
+    fn adaptive(&self) -> bool {
+        self.mem_capacity.is_some() || self.faults.as_ref().is_some_and(|p| p.has_mem_faults())
+    }
+
+    /// The executor over `ctx` these flags configure, and whether its
+    /// launches must attach the COO tensor: they must whenever the ladder
+    /// can reach the CPU reference rung (limited memory, faults,
+    /// sharding). The plain in-core replay attaches none and keeps its
+    /// profile. `0.7x`-style capacities resolve against `worst_footprint`;
+    /// with a grid the cap applies per device.
+    fn executor(&self, mut ctx: GpuContext, worst_footprint: u64) -> (gpu::Executor, bool) {
+        if let Some(plan) = &self.faults {
+            ctx = ctx.with_faults(plan.clone());
+        }
+        let cap = self
+            .mem_capacity
+            .as_ref()
+            .map(|c| c.resolve(worst_footprint));
+        let mut exec = match self.devices {
+            Some(n) => {
+                let mut grid = gpu::GridSpec::new(n, self.interconnect.clone());
+                if let Some(bytes) = cap {
+                    grid = grid.with_capacity(bytes);
+                }
+                gpu::Executor::new(ctx).with_grid(grid)
+            }
+            None => {
+                if let Some(bytes) = cap {
+                    ctx = ctx.with_memory(Arc::new(DeviceMemory::with_capacity(bytes)));
+                }
+                gpu::Executor::new(ctx)
+            }
+        };
+        if self.faults.is_some() {
+            exec = exec.with_abft(AbftOptions::default());
+        }
+        let attach = self.adaptive() || self.faults.is_some() || self.devices.is_some();
+        (exec, attach)
     }
 }
 
@@ -642,13 +724,8 @@ fn cmd_mttkrp(args: &[String]) -> Result<()> {
     if let Some(rec) = &memtrace {
         ctx = ctx.with_memtrace(Arc::clone(rec));
     }
-    let faults = parse_faults(args)?;
-    if let Some(plan) = &faults {
-        ctx = ctx.with_faults(plan.clone());
-    }
-    let mem_capacity = parse_mem_capacity(args)?;
-    let (devices, interconnect) = parse_grid(args)?;
-    let adaptive = mem_capacity.is_some() || faults.as_ref().is_some_and(|p| p.has_mem_faults());
+    let flags = DeviceFlags::parse(args)?;
+    let adaptive = flags.adaptive();
     let factors = random_factors(&t, rank, 42);
     let flops = t.order() as f64 * t.nnz() as f64 * rank as f64;
 
@@ -668,7 +745,7 @@ fn cmd_mttkrp(args: &[String]) -> Result<()> {
             "--profile supports the simulated GPU kernels only ('{kernel}' is a CPU kernel)"
         ));
     }
-    if faults.is_some() && is_cpu_kernel {
+    if flags.faults.is_some() && is_cpu_kernel {
         return Err(format!(
             "--faults supports the simulated GPU kernels only ('{kernel}' is a CPU kernel)"
         ));
@@ -684,7 +761,7 @@ fn cmd_mttkrp(args: &[String]) -> Result<()> {
             "--mem-capacity/--mem-faults model device memory; '{kernel}' is a CPU kernel"
         ));
     }
-    if devices.is_some() && is_cpu_kernel {
+    if flags.devices.is_some() && is_cpu_kernel {
         return Err(format!(
             "--devices shards the simulated GPU kernels; '{kernel}' is a CPU kernel"
         ));
@@ -748,42 +825,15 @@ fn cmd_mttkrp(args: &[String]) -> Result<()> {
                         .into(),
                 );
             }
-            if devices.is_some() && profile_dir.is_some() {
+            if flags.devices.is_some() && profile_dir.is_some() {
                 return Err("--profile does not combine with --devices: per-device \
                      timelines do not concatenate into one trace"
                     .into());
             }
-            // `0.7x`-style capacities resolve against the captured
-            // footprint; with a grid the cap applies per device.
-            let grid = devices.map(|n| {
-                let mut g = gpu::GridSpec::new(n, interconnect.clone());
-                if let Some(spec) = &mem_capacity {
-                    g = g.with_capacity(spec.resolve(plan.footprint().total_bytes()));
-                }
-                g
-            });
-            if grid.is_none() {
-                if let Some(spec) = &mem_capacity {
-                    let cap = spec.resolve(plan.footprint().total_bytes());
-                    ctx = ctx.with_memory(Arc::new(DeviceMemory::with_capacity(cap)));
-                }
-            }
-            let mut exec = gpu::Executor::new(ctx.clone());
-            if faults.is_some() {
-                exec = exec.with_abft(AbftOptions::default());
-            }
-            let sharded = grid.is_some();
-            if let Some(g) = grid {
-                exec = exec.with_grid(g);
-            }
-            // Attach the tensor whenever a CPU rung is reachable (limited
-            // memory, faults, sharding); the plain in-core replay skips it
-            // and keeps its profile.
-            let largs = if adaptive || faults.is_some() || sharded {
-                gpu::LaunchArgs::new(&factors).with_tensor(&t)
-            } else {
-                gpu::LaunchArgs::new(&factors)
-            };
+            let (exec, attach) = flags.executor(ctx, plan.footprint().total_bytes());
+            let ctx = exec.ctx();
+            let largs = gpu::LaunchArgs::new(&factors);
+            let largs = if attach { largs.with_tensor(&t) } else { largs };
             let execution = exec.execute(&plan, &largs).map_err(|e| e.to_string())?;
             let run = &execution.run;
             if let Some(report) = &execution.abft {
@@ -855,7 +905,7 @@ fn cmd_mttkrp(args: &[String]) -> Result<()> {
                     .profile
                     .as_ref()
                     .ok_or("profiling context dropped the per-block profile")?;
-                write_kernel_profile(dir, &ctx, &run.sim, profile)?;
+                write_kernel_profile(dir, ctx, &run.sim, profile)?;
                 println!(
                     "profile: {} (trace.json, nvprof_table.txt, counters.json, histograms.txt)",
                     dir.display()
@@ -1531,7 +1581,7 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
     let iters = flag_parse(args, "--iters", 15usize)?;
     let nonneg = args.iter().any(|a| a == "--nonneg");
     let profile_dir = flag(args, "--profile").map(PathBuf::from);
-    let faults = parse_faults(args)?;
+    let flags = DeviceFlags::parse(args)?;
     let expect_fit = match flag(args, "--expect-fit") {
         None => None,
         Some(v) => Some(
@@ -1539,13 +1589,11 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
                 .map_err(|_| format!("--expect-fit wants a number, got '{v}'"))?,
         ),
     };
-    if faults.is_some() && nonneg {
+    if flags.faults.is_some() && nonneg {
         return Err(
             "--faults drives the resilient standard ALS; combine it without --nonneg".into(),
         );
     }
-    let mem_capacity = parse_mem_capacity(args)?;
-    let (devices, interconnect) = parse_grid(args)?;
     let expect_tiled = args.iter().any(|a| a == "--expect-tiled");
     let checkpoint_dir = flag(args, "--checkpoint-dir").map(PathBuf::from);
     let resume = args.iter().any(|a| a == "--resume");
@@ -1553,7 +1601,8 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
     if checkpoint_dir.is_none() && (resume || halt_on_crash) {
         return Err("--resume/--halt-on-crash need --checkpoint-dir".into());
     }
-    let adaptive = mem_capacity.is_some() || faults.as_ref().is_some_and(|p| p.has_mem_faults());
+    let adaptive = flags.adaptive();
+    let devices = flags.devices;
     if adaptive && nonneg {
         return Err(
             "--mem-capacity/--mem-faults drive the adaptive standard ALS; \
@@ -1593,9 +1642,6 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
             simprof::Telemetry::to_file(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         ctx = ctx.with_events(Arc::new(tel));
     }
-    if let Some(plan) = &faults {
-        ctx = ctx.with_faults(plan.clone());
-    }
     let opts = CpdOptions {
         rank,
         max_iters: iters,
@@ -1622,88 +1668,36 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
         .map(|m| plans.plan(m).footprint().total_bytes())
         .max()
         .unwrap_or(0);
-    if let Some(spec) = &mem_capacity {
-        let cap = spec.resolve(worst_footprint);
-        // With a grid the cap models each device's memory instead of the
-        // (single) context device.
-        if devices.is_none() {
-            ctx = ctx.with_memory(Arc::new(DeviceMemory::with_capacity(cap)));
-        }
-    }
-    // The last profiled MTTKRP run of each mode, kept so the profile
-    // artifacts show a representative launch per mode.
-    let last_runs: RefCell<Vec<Option<gpu::GpuRun>>> = RefCell::new(vec![None; t.order()]);
+    let (exec, attach) = flags.executor(ctx, worst_footprint);
+    let ctx = exec.ctx();
+    // One backend for every driver: each (iteration, mode) MTTKRP replays
+    // its captured plan down the executor's ladder. Launch records
+    // (memory ladder, grid, ABFT) are absorbed into `launches`; the last
+    // profiled run of each mode is kept so the profile artifacts show a
+    // representative launch per mode.
+    let mut launches = simprof::RunManifest::new("launches", path, rank, iters, 0.0, 0);
+    let mut last_runs: Vec<Option<gpu::GpuRun>> = vec![None; t.order()];
     let backend = |factors: &[dense::Matrix], mode: usize| {
-        // Replay validation only compares factor shapes against the
-        // captured rank; a mismatch degrades to the CPU reference
-        // instead of panicking.
-        match plans.execute(&ctx, factors, mode) {
-            Ok(run) if run.profile.is_some() => {
+        let largs = gpu::LaunchArgs::new(factors);
+        let largs = if attach { largs.with_tensor(&t) } else { largs };
+        match exec.execute(plans.plan(mode), &largs) {
+            Ok(e) => {
+                e.absorb_into(&mut launches);
+                let run = e.run;
+                if run.profile.is_none() {
+                    return run.y;
+                }
                 let y = run.y.clone();
-                last_runs.borrow_mut()[mode] = Some(run);
+                last_runs[mode] = Some(run);
                 y
             }
-            Ok(run) => run.y,
+            // A launch refusal (factor shapes against the captured plan)
+            // degrades to the CPU reference instead of panicking.
             Err(_) => mttkrp::reference::mttkrp(&t, factors, mode),
         }
     };
-    // Under a fault plan every per-mode MTTKRP goes through the ABFT
-    // verify/retry/degrade wrapper, and kernel-level recovery events are
-    // accumulated for the manifest's resilience record. Replays are safe
-    // here because capture is value-independent: the wrapper's retry
-    // contexts carry different fault plans, which the plan re-simulates.
-    let kernel_events: RefCell<simprof::ResilienceRecord> = RefCell::new(Default::default());
-    let fault_backend = |factors: &[dense::Matrix], mode: usize| {
-        // Validation is context-independent, so one up-front check
-        // covers every retry context the ABFT wrapper passes in and the
-        // replay closure below is infallible; a shape mismatch degrades
-        // to the CPU reference instead of panicking.
-        if plans.plan(mode).validate_factors(factors).is_err() {
-            return mttkrp::reference::mttkrp(&t, factors, mode);
-        }
-        let (run, report) = run_verified(&ctx, &t, factors, mode, &AbftOptions::default(), |c| {
-            plans.plan(mode).execute_validated(c, factors)
-        });
-        kernel_events.borrow_mut().merge(&report.to_record());
-        let y = run.y.clone();
-        last_runs.borrow_mut()[mode] = Some(run);
-        y
-    };
     let start = Instant::now();
-    let mut memrec: Option<simprof::MemoryRecord> = None;
-    let mut gridrec: Option<simprof::GridRecord> = None;
-    let res = if let Some(n) = devices {
-        // Sharded driver: one ShardModel per mode, replayed per
-        // iteration; bit-identical to the planned driver for any N.
-        let mut grid = gpu::GridSpec::new(n, interconnect.clone());
-        if let Some(spec) = &mem_capacity {
-            grid = grid.with_capacity(spec.resolve(worst_footprint));
-        }
-        let (res, _stats, rec) = cpd_als_sharded(
-            &t,
-            &opts,
-            &ResilienceOptions::default(),
-            &ctx,
-            &plans,
-            &grid,
-            &OocOptions::default(),
-            Some(&mut manifest),
-        );
-        gridrec = Some(rec);
-        res
-    } else if adaptive {
-        let (res, _stats, mem) = cpd_als_adaptive(
-            &t,
-            &opts,
-            &ResilienceOptions::default(),
-            &ctx,
-            &plans,
-            &OocOptions::default(),
-            Some(&mut manifest),
-        );
-        memrec = Some(mem);
-        res
-    } else if let Some(dir) = &checkpoint_dir {
+    let res = if let Some(dir) = &checkpoint_dir {
         // Durable driver: a versioned, checksummed checkpoint per
         // iteration, written atomically (temp + rename); --resume scans
         // back past torn files to the last valid one and warm-restarts.
@@ -1713,28 +1707,15 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
             resume,
             halt_on_crash,
         };
-        let ropts = ResilienceOptions::default();
-        let (res, _stats, rec) = if faults.is_some() {
-            cpd_als_resilient_durable(
-                &t,
-                &opts,
-                &ropts,
-                &dopts,
-                fault_backend,
-                Some(&mut manifest),
-                Some(&ctx),
-            )
-        } else {
-            cpd_als_resilient_durable(
-                &t,
-                &opts,
-                &ropts,
-                &dopts,
-                backend,
-                Some(&mut manifest),
-                Some(&ctx),
-            )
-        }
+        let (res, _stats, rec) = cpd_als_resilient_durable(
+            &t,
+            &opts,
+            &ResilienceOptions::default(),
+            &dopts,
+            backend,
+            Some(&mut manifest),
+            Some(ctx),
+        )
         .map_err(|e| format!("checkpoint store: {e}"))?;
         println!(
             "checkpoints: {} writes ({} B), {} crashes, {} resumes, {} torn skipped{}",
@@ -1757,14 +1738,16 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
             ));
         }
         res
-    } else if faults.is_some() {
+    } else if attach {
+        // A ladder that can degrade (faults, limited memory, sharding)
+        // runs under the self-healing driver.
         let (res, _stats) = cpd_als_resilient(
             &t,
             &opts,
             &ResilienceOptions::default(),
-            fault_backend,
+            backend,
             Some(&mut manifest),
-            Some(&ctx),
+            Some(ctx),
         );
         res
     } else {
@@ -1774,11 +1757,13 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
         match (nonneg, profile_dir.is_some() || ctx.telemetry.enabled()) {
             (false, false) => cpd_als(&t, &opts, backend),
             (true, false) => cpd_als_nonneg(&t, &opts, backend),
-            (false, true) => cpd_als_profiled(&t, &opts, backend, &mut manifest, Some(&ctx)),
-            (true, true) => cpd_als_nonneg_profiled(&t, &opts, backend, &mut manifest, Some(&ctx)),
+            (false, true) => cpd_als_profiled(&t, &opts, backend, &mut manifest, Some(ctx)),
+            (true, true) => cpd_als_nonneg_profiled(&t, &opts, backend, &mut manifest, Some(ctx)),
         }
     };
-    manifest.resilience.merge(&kernel_events.into_inner());
+    manifest.resilience.merge(&launches.resilience);
+    manifest.memory.merge(&launches.memory);
+    manifest.grid.merge(&launches.grid);
     println!(
         "{} CPD rank {rank}: fit {:.4} after {} iterations ({:.2}s host)",
         if nonneg { "non-negative" } else { "standard" },
@@ -1789,7 +1774,7 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
     for (i, fit) in res.fits.iter().enumerate() {
         println!("  iter {:>2}: fit {fit:.5}", i + 1);
     }
-    if faults.is_some() {
+    if flags.faults.is_some() {
         let r = &manifest.resilience;
         println!(
             "resilience: {} faults injected, {} rows detected, {} kernel retries, \
@@ -1805,7 +1790,8 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
             r.checkpoints
         );
     }
-    if let Some(mem) = &memrec {
+    if adaptive && devices.is_none() {
+        let mem = &launches.memory;
         println!(
             "memory: capacity {}, worst footprint {} B, high water {} B",
             if ctx.memory.is_unlimited() {
@@ -1834,7 +1820,8 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
             ));
         }
     }
-    if let Some(g) = &gridrec {
+    if devices.is_some() {
+        let g = &launches.grid;
         println!(
             "grid: {} devices over {}, {} sharded launches, compute {:.3} ms + \
              allreduce {:.3} ms ({} B on the wire)",
@@ -1867,7 +1854,7 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
     manifest.events_path = ctx.telemetry.events_path().map(String::from);
     manifest.histograms = ctx.registry.histograms();
     if let Some(dir) = &profile_dir {
-        write_cpd_profile(dir, &ctx, &manifest, &last_runs.into_inner())?;
+        write_cpd_profile(dir, ctx, &manifest, &last_runs)?;
         println!(
             "profile: {} (manifest.json, trace.json, nvprof_table.txt, counters.json, \
              histograms.txt)",
@@ -1940,6 +1927,49 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn mem_capacity_takes_bytes_or_a_fraction_with_one_error_text() {
+        let parse = |v: &str| parse_mem_capacity(&args(&["--mem-capacity", v]));
+        assert!(matches!(parse("64m"), Ok(Some(MemCapacity::Bytes(b))) if b == 64 << 20));
+        assert!(matches!(parse(" 2G "), Ok(Some(MemCapacity::Bytes(b))) if b == 2 << 30));
+        assert!(matches!(
+            parse("0.7X"),
+            Ok(Some(MemCapacity::FootprintFraction(f))) if f == 0.7
+        ));
+        for bad in ["-3x", "x", "abc", "0", "12q", "-1m"] {
+            assert_eq!(
+                parse(bad).err(),
+                Some(format!(
+                    "--mem-capacity wants bytes (with k/m/g) or a fraction like 0.7x, got '{bad}'"
+                ))
+            );
+        }
+        assert!(matches!(parse_mem_capacity(&args(&[])), Ok(None)));
+    }
+
+    #[test]
+    fn device_flags_pick_the_rung_and_whether_to_attach_the_tensor() {
+        let build = |list: &[&str]| {
+            let flags = DeviceFlags::parse(&args(list)).unwrap();
+            flags.executor(GpuContext::default(), 1000)
+        };
+        let (plain, attach) = build(&[]);
+        assert!(!attach, "the plain rung keeps its profile");
+        assert!(plain.grid().is_none() && plain.ctx().memory.is_unlimited());
+
+        let (capped, attach) = build(&["--mem-capacity", "0.7x"]);
+        assert!(attach && capped.grid().is_none());
+        assert_eq!(capped.ctx().memory.capacity(), 700);
+
+        let (grid, attach) = build(&["--devices", "4", "--mem-capacity", "0.7x"]);
+        let spec = grid.grid().unwrap();
+        assert!(attach && grid.ctx().memory.is_unlimited());
+        assert_eq!((spec.devices, spec.capacity_per_device), (4, 700));
+
+        let (faulted, attach) = build(&["--faults", "bitflip:1e-3"]);
+        assert!(attach && faulted.ctx().fault_plan().is_some());
     }
 
     #[test]

@@ -419,164 +419,6 @@ pub fn cpd_als_resilient_durable(
     Ok((result, stats, session.record))
 }
 
-/// [`cpd_als_resilient`] with every MTTKRP routed through the out-of-core
-/// degradation ladder — the memory-aware layer of the simfault stack.
-///
-/// Each (iteration, mode) MTTKRP executes the captured plan through an
-/// [`Executor`](crate::gpu::Executor) with the tensor attached: in-core
-/// when the plan's [`MemoryFootprint`](crate::gpu::MemoryFootprint) fits
-/// the context's [`DeviceMemory`](gpu_sim::DeviceMemory), tiled when it
-/// does not, CPU reference when injected OOMs exhaust the tile budget
-/// ladder. When the context also carries exec faults (bit flips / aborts
-/// / stragglers) the attempt additionally runs under
-/// [`run_verified`](crate::abft::run_verified), so checksum repair and
-/// memory degradation compose per attempt.
-///
-/// Returns the aggregated [`simprof::MemoryRecord`] (one ladder story per
-/// kernel execution) alongside the usual result and stats; with a
-/// manifest, kernel-level ABFT events are merged into
-/// [`RunManifest::resilience`] and the memory record into
-/// [`RunManifest::memory`]. On an unconstrained, fault-free context every
-/// execution takes the full-device rung and the result is bit-identical
-/// to [`cpd_als_planned`].
-pub fn cpd_als_adaptive(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    ropts: &ResilienceOptions,
-    ctx: &GpuContext,
-    plans: &crate::gpu::ModePlans,
-    oopts: &crate::gpu::OocOptions,
-    mut manifest: Option<&mut RunManifest>,
-) -> (CpdResult, ResilienceStats, simprof::MemoryRecord) {
-    let exec = crate::gpu::Executor::new(ctx.clone())
-        .with_ooc(*oopts)
-        .with_abft(crate::abft::AbftOptions::default());
-    let mut kernel_events = ResilienceRecord::default();
-    let mut mem = simprof::MemoryRecord::default();
-    let backend = |factors: &[Matrix], mode: usize| {
-        let args = crate::gpu::LaunchArgs::new(factors).with_tensor(t);
-        match exec.execute(plans.plan(mode), &args) {
-            Ok(e) => {
-                for m in &e.mem {
-                    m.absorb_into(&mut mem);
-                }
-                if let Some(r) = &e.abft {
-                    kernel_events.merge(&r.to_record());
-                }
-                e.run.y
-            }
-            Err(_) => crate::reference::mttkrp(t, factors, mode),
-        }
-    };
-    let (result, stats) =
-        cpd_als_resilient(t, opts, ropts, backend, manifest.as_deref_mut(), Some(ctx));
-
-    mem.high_water_bytes = mem.high_water_bytes.max(ctx.memory.high_water());
-    if !ctx.memory.is_unlimited() {
-        mem.capacity_bytes = mem.capacity_bytes.max(ctx.memory.capacity());
-    }
-    if let Some(m) = manifest {
-        m.resilience.merge(&kernel_events);
-        m.memory.merge(&mem);
-    }
-    (result, stats, mem)
-}
-
-/// [`cpd_als_resilient`] with every MTTKRP sharded across a simulated
-/// multi-GPU node — the `simgrid` CPD driver.
-///
-/// One [`ShardModel`](crate::gpu::ShardModel) is built per mode up front
-/// (the expensive phase: shard fit, per-device tiling, interconnect
-/// pricing), then replayed for every (iteration, mode) — the multi-device
-/// analogue of [`cpd_als_planned`]'s capture-once/replay-many split. Each
-/// replay folds the shards' contributions in global emission order, so the
-/// decomposition trajectory is bit-identical to [`cpd_als_planned`] for
-/// any device count, including `--devices 1`.
-///
-/// Under an active execution-fault plan every replay runs inside
-/// [`run_verified`](crate::abft::run_verified), composing checksum repair
-/// with sharding exactly as the single-device adaptive driver does.
-/// Memory-fault draws happen once at model build (leases are modeled per
-/// mode, not per iteration) — a model that degraded to the CPU reference
-/// stays degraded for the whole run.
-///
-/// Returns the accumulated [`simprof::GridRecord`] (one launch recorded
-/// per sharded MTTKRP) alongside the usual result and stats; with a
-/// manifest, the record is merged into [`RunManifest::grid`] and kernel
-/// ABFT events into [`RunManifest::resilience`].
-// The driver composes four subsystems (CPD, resilience, sharding,
-// profiling); its knobs are already grouped into option structs.
-#[allow(clippy::too_many_arguments)]
-pub fn cpd_als_sharded(
-    t: &CooTensor,
-    opts: &CpdOptions,
-    ropts: &ResilienceOptions,
-    ctx: &GpuContext,
-    plans: &crate::gpu::ModePlans,
-    grid: &crate::gpu::GridSpec,
-    oopts: &crate::gpu::OocOptions,
-    mut manifest: Option<&mut RunManifest>,
-) -> (CpdResult, ResilienceStats, simprof::GridRecord) {
-    use std::cell::RefCell;
-
-    use crate::gpu::ShardModel;
-
-    // Model phase, once per mode: the per-iteration replays only clone
-    // values out of these.
-    let models: Vec<ShardModel> = (0..t.order())
-        .map(|m| ShardModel::build(ctx, plans.plan(m), grid, oopts))
-        .collect();
-
-    // Written from inside run_verified's `Fn` attempts, hence the cell.
-    let grid_rec: RefCell<simprof::GridRecord> = RefCell::new(simprof::GridRecord::default());
-    let mut kernel_events = ResilienceRecord::default();
-    let abft_opts = crate::abft::AbftOptions::default();
-
-    let backend = |factors: &[Matrix], mode: usize| -> Matrix {
-        let plan = plans.plan(mode);
-        let model = &models[mode];
-        let replay = |c: &GpuContext| {
-            // Unreachable in practice — the tensor is always attached —
-            // but degrade to the CPU reference rather than panic if the
-            // sharded engine ever refuses an execute.
-            let (run, g) = model
-                .execute(c, plan, factors, Some(t))
-                .unwrap_or_else(|_| {
-                    let y = crate::reference::mttkrp(t, factors, plan.mode());
-                    let sim = crate::gpu::ooc::cpu_fallback_sim(plan);
-                    let run = crate::gpu::GpuRun {
-                        y,
-                        sim,
-                        profile: None,
-                        abft: None,
-                    };
-                    (run, model.report())
-                });
-            grid_rec.borrow_mut().merge(&g.to_record());
-            run
-        };
-        if ctx.fault_plan().is_none() {
-            return replay(ctx).y;
-        }
-        // Verified sharded replay: the sharded engine is the kernel
-        // under test, run_verified wraps it with checksum + retry.
-        let (run, rep) =
-            crate::abft::run_verified(ctx, t, factors, plan.mode(), &abft_opts, replay);
-        kernel_events.merge(&rep.to_record());
-        run.y
-    };
-
-    let (result, stats) =
-        cpd_als_resilient(t, opts, ropts, backend, manifest.as_deref_mut(), Some(ctx));
-
-    let rec = grid_rec.into_inner();
-    if let Some(m) = manifest {
-        m.resilience.merge(&kernel_events);
-        m.grid.merge(&rec);
-    }
-    (result, stats, rec)
-}
-
 /// Non-negative CPD via multiplicative updates (Lee–Seung generalized to
 /// tensors): `Aₙ ← Aₙ ∗ MTTKRP(X, n) ⊘ (Aₙ · Vₙ)` with
 /// `Vₙ = ∗ₘ≠ₙ AₘᵀAₘ`. Keeps every factor entry ≥ 0 — the constraint the
@@ -1248,9 +1090,49 @@ mod tests {
         let _ = cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
     }
 
+    /// [`cpd_als_resilient`] over `exec` with the tensor attached, the
+    /// composition `sptk cpd` builds for a degradable ladder. Launch
+    /// records are absorbed into the returned manifest and merged into
+    /// `manifest`, when given.
+    fn resilient_over(
+        exec: &crate::gpu::Executor,
+        t: &CooTensor,
+        opts: &CpdOptions,
+        ropts: &ResilienceOptions,
+        plans: &crate::gpu::ModePlans,
+        mut manifest: Option<&mut RunManifest>,
+    ) -> (CpdResult, ResilienceStats, RunManifest) {
+        let mut launches = RunManifest::new("launches", "synth", 0, 0, 0.0, 0);
+        let backend = |factors: &[Matrix], mode: usize| {
+            let args = crate::gpu::LaunchArgs::new(factors).with_tensor(t);
+            match exec.execute(plans.plan(mode), &args) {
+                Ok(e) => {
+                    e.absorb_into(&mut launches);
+                    e.run.y
+                }
+                Err(_) => reference::mttkrp(t, factors, mode),
+            }
+        };
+        let (res, stats) = cpd_als_resilient(
+            t,
+            opts,
+            ropts,
+            backend,
+            manifest.as_deref_mut(),
+            Some(exec.ctx()),
+        );
+        if let Some(m) = manifest {
+            m.resilience.merge(&launches.resilience);
+            m.memory.merge(&launches.memory);
+            m.grid.merge(&launches.grid);
+        }
+        (res, stats, launches)
+    }
+
     #[test]
     fn adaptive_matches_planned_in_core_and_under_pressure() {
-        use crate::gpu::{GpuContext, ModePlans, OocOptions};
+        use crate::abft::AbftOptions;
+        use crate::gpu::{Executor, GpuContext, ModePlans, OocOptions};
         use gpu_sim::DeviceMemory;
         use std::sync::Arc;
         use tensor_formats::BcsfOptions;
@@ -1267,10 +1149,16 @@ mod tests {
         let ctx = GpuContext::tiny();
         let plans = ModePlans::build_hbcsf(&ctx, &t, opts.rank, BcsfOptions::default());
         let plain = cpd_als_planned(&t, &opts, &ctx, &plans);
+        let adaptive = |ctx: &GpuContext| {
+            Executor::new(ctx.clone())
+                .with_ooc(oopts)
+                .with_abft(AbftOptions::default())
+        };
 
         // Unconstrained: every launch takes the full-device rung and the
         // decomposition is bit-identical to the plain planned driver.
-        let (res, stats, mem) = cpd_als_adaptive(&t, &opts, &ropts, &ctx, &plans, &oopts, None);
+        let (res, stats, log) = resilient_over(&adaptive(&ctx), &t, &opts, &ropts, &plans, None);
+        let mem = log.memory;
         assert_eq!(res.fits, plain.fits, "in-core adaptive must be bit-exact");
         // Proactive checkpoints still fire on a clean run; every corrective
         // counter must stay at zero.
@@ -1288,7 +1176,8 @@ mod tests {
             .unwrap();
         let capacity = worst.total_bytes() - worst.format_bytes / 8;
         let small = GpuContext::tiny().with_memory(Arc::new(DeviceMemory::with_capacity(capacity)));
-        let (res2, _, mem2) = cpd_als_adaptive(&t, &opts, &ropts, &small, &plans, &oopts, None);
+        let (res2, _, log2) = resilient_over(&adaptive(&small), &t, &opts, &ropts, &plans, None);
+        let mem2 = log2.memory;
         assert_eq!(res2.fits, plain.fits, "tiled adaptive must be bit-exact");
         assert!(mem2.tiled_launches > 0, "tiling never engaged: {mem2:?}");
         assert_eq!(mem2.cpu_fallbacks, 0);
@@ -1296,22 +1185,23 @@ mod tests {
 
         // The manifest absorbs the same memory story.
         let mut manifest = RunManifest::new("hb-csf", "synth", 0, 0, 0.0, 0);
-        let (_, _, mem3) = cpd_als_adaptive(
+        let (_, _, log3) = resilient_over(
+            &adaptive(&small),
             &t,
             &opts,
             &ropts,
-            &small,
             &plans,
-            &oopts,
             Some(&mut manifest),
         );
+        let mem3 = log3.memory;
         assert_eq!(manifest.memory.tiled_launches, mem3.tiled_launches);
         assert!(manifest.memory.any());
     }
 
     #[test]
     fn sharded_matches_planned_for_any_device_count() {
-        use crate::gpu::{GpuContext, GridSpec, ModePlans, OocOptions};
+        use crate::abft::AbftOptions;
+        use crate::gpu::{Executor, GpuContext, GridSpec, ModePlans, OocOptions};
         use gpu_sim::Interconnect;
         use tensor_formats::BcsfOptions;
 
@@ -1332,16 +1222,13 @@ mod tests {
         for devices in [1usize, 3, 4] {
             let grid = GridSpec::new(devices, Interconnect::nvlink());
             let mut manifest = RunManifest::new("hb-csf", "synth", 0, 0, 0.0, 0);
-            let (res, stats, rec) = cpd_als_sharded(
-                &t,
-                &opts,
-                &ropts,
-                &ctx,
-                &plans,
-                &grid,
-                &oopts,
-                Some(&mut manifest),
-            );
+            let exec = Executor::new(ctx.clone())
+                .with_ooc(oopts)
+                .with_grid(grid)
+                .with_abft(AbftOptions::default());
+            let (res, stats, log) =
+                resilient_over(&exec, &t, &opts, &ropts, &plans, Some(&mut manifest));
+            let rec = log.grid;
             assert_eq!(
                 res.fits, plain.fits,
                 "{devices}-device sharded CPD must be bit-exact"

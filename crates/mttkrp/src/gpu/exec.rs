@@ -9,6 +9,8 @@
 //! is the only public entry point — the historical per-module
 //! `run`/`plan`/`build_and_run` free functions have been removed.
 
+use std::cell::RefCell;
+
 use dense::Matrix;
 use sptensor::CooTensor;
 
@@ -18,7 +20,7 @@ use super::common::{GpuContext, GpuRun};
 use super::kernel::{AnyFormat, BuildOptions, KernelKind, MttkrpKernel};
 use super::ooc::{self, MemReport, OocOptions};
 use super::plan::Plan;
-use super::sharded::{self, GridReport, GridSpec};
+use super::sharded::{GridReport, GridSpec};
 
 /// A launch rejected before touching the simulator — every condition the
 /// old free functions turned into an `assert!` deep inside a kernel.
@@ -264,7 +266,11 @@ impl Executor {
         self
     }
 
-    /// Routes launches through the multi-device sharded engine.
+    /// Routes launches through the multi-device sharded engine. The first
+    /// launch of a plan builds its shard model (shard fit, per-device
+    /// tiling, interconnect pricing); later launches of the same plan
+    /// replay it, so a CPD run pays the model phase once per mode. A
+    /// different grid, ladder knobs or fault plan rebuilds the model.
     pub fn with_grid(mut self, spec: GridSpec) -> Executor {
         self.grid = Some(spec);
         self
@@ -323,7 +329,8 @@ impl Executor {
     ///
     /// 1. **Sharded** when a grid with more than one device is set (or
     ///    any grid at all — a one-device grid still routes here so
-    ///    device-count sweeps compare like with like).
+    ///    device-count sweeps compare like with like). The shard model
+    ///    is cached on the plan and reused across launches.
     /// 2. **ABFT-verified adaptive** when verification is enabled, an
     ///    execution-fault plan is active, and the tensor is attached.
     /// 3. **Adaptive** (full-device / tiled / CPU) when the tensor is
@@ -411,6 +418,9 @@ impl Executor {
         tel.emit("dispatch", None, tel.new_span(), &fields);
     }
 
+    /// The sharded rung. The plan's cached shard model is built from this
+    /// executor's context once per grid and replayed by every launch —
+    /// ABFT retry contexts included, so all attempts share one model.
     fn execute_gridded(
         &self,
         plan: &Plan,
@@ -418,55 +428,42 @@ impl Executor {
         spec: &GridSpec,
     ) -> Result<Execution, LaunchError> {
         let ctx = &self.ctx;
-        if let (Some(t), Some(abft_opts), true) =
-            (args.tensor, self.abft.as_ref(), ctx.fault_plan().is_some())
-        {
-            // Verified sharded execution: the sharded engine is the
-            // kernel under test; ABFT wraps it with the same
-            // checksum/retry loop as the single-device path.
-            use std::cell::RefCell;
-            let grids: RefCell<Vec<GridReport>> = RefCell::new(Vec::new());
-            let result: RefCell<Option<LaunchError>> = RefCell::new(None);
-            let (run, report) =
-                abft::run_verified(ctx, t, args.factors, plan.mode(), abft_opts, |c| {
-                    match sharded::execute_sharded(c, plan, args.factors, Some(t), spec, &self.ooc)
-                    {
-                        Ok((run, grid)) => {
-                            grids.borrow_mut().push(grid);
-                            run
-                        }
-                        Err(e) => {
-                            // Unreachable with a tensor attached; recorded
-                            // defensively.
-                            *result.borrow_mut() = Some(e);
-                            GpuRun {
-                                y: Matrix::zeros(plan.out_rows(), plan.rank()),
-                                sim: ooc::cpu_fallback_sim(plan),
-                                profile: None,
-                                abft: None,
-                            }
-                        }
-                    }
-                });
-            if let Some(e) = result.into_inner() {
-                return Err(e);
+        let model = plan.shard_model(ctx, spec, &self.ooc);
+        let fallback = match (model.needs_tensor(), args.tensor) {
+            (false, _) => None,
+            (true, Some(t)) => Some(t),
+            (true, None) => return Err(LaunchError::TensorRequired),
+        };
+        let replay = |c: &GpuContext| model.execute(c, plan, args.factors, fallback);
+        match (args.tensor, &self.abft) {
+            (Some(t), Some(abft_opts)) if ctx.fault_plan().is_some() => {
+                // Verified sharded execution: the sharded engine is the
+                // kernel under test; ABFT wraps it with the same
+                // checksum/retry loop as the single-device path.
+                let grids = RefCell::new(Vec::new());
+                let (run, report) =
+                    abft::run_verified(ctx, t, args.factors, plan.mode(), abft_opts, |c| {
+                        let (run, grid) = replay(c);
+                        grids.borrow_mut().push(grid);
+                        run
+                    });
+                Ok(Execution {
+                    run,
+                    mem: Vec::new(),
+                    abft: Some(report),
+                    grid: merge_grid_reports(grids.into_inner()),
+                })
             }
-            let grid = merge_grid_reports(grids.into_inner());
-            return Ok(Execution {
-                run,
-                mem: Vec::new(),
-                abft: Some(report),
-                grid,
-            });
+            _ => {
+                let (run, grid) = replay(ctx);
+                Ok(Execution {
+                    run,
+                    mem: Vec::new(),
+                    abft: None,
+                    grid: Some(grid),
+                })
+            }
         }
-        let (run, grid) =
-            sharded::execute_sharded(ctx, plan, args.factors, args.tensor, spec, &self.ooc)?;
-        Ok(Execution {
-            run,
-            mem: Vec::new(),
-            abft: None,
-            grid: Some(grid),
-        })
     }
 }
 

@@ -48,5 +48,5 @@ pub use exec::{Execution, Executor, LaunchArgs, LaunchError};
 pub use kernel::{AnyFormat, BuildOptions, KernelKind, MttkrpKernel};
 pub use ooc::{execute_adaptive, LadderStep, MemReport, OocOptions};
 pub use plan::{MemoryFootprint, ModePlans, Plan, RankDispatch, ReplaySchedule};
-pub use sharded::{DeviceShardReport, GridReport, GridSpec, ShardModel};
+pub use sharded::{DeviceShardReport, GridReport, GridSpec};
 pub use stream::{cpd_als_streamed, ShardStore, StreamOptions, StreamedCpd};

@@ -40,7 +40,7 @@ use super::common::{GpuContext, GpuRun};
 use super::plan::{MemoryFootprint, Plan};
 
 /// Knobs for the degradation ladder.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OocOptions {
     /// Budget halvings to attempt after the first tiled rung fails
     /// (injected OOM) before falling back to the CPU reference.

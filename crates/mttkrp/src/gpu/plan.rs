@@ -22,9 +22,11 @@
 //! Under an active [`FaultPlan`] the replay routes through an [`AbftSink`]
 //! exactly as the emitting kernels do (checksums, latched bit flips), and
 //! the faulted simulation is cached keyed on the plan — `run_verified`'s
-//! retries carry a different `attempt`, which re-keys the cache.
+//! retries carry a different `attempt`, which re-keys the cache. A plan
+//! launched on a multi-device grid likewise caches its last shard model,
+//! so every replay on the same grid skips the model phase.
 
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use dense::Matrix;
@@ -40,6 +42,8 @@ use super::common::{
     axpy_into, axpy_into_fixed, scale_by, scale_by_fixed, AbftSink, FactorAddrs, GpuContext, GpuRun,
 };
 use super::exec::LaunchError;
+use super::ooc::OocOptions;
+use super::sharded::{GridSpec, ShardModel};
 
 /// Accumulator elements per parallel replay batch (≈4 MB of partials):
 /// bounds scratch memory while giving rayon enough blocks per batch.
@@ -481,6 +485,7 @@ impl PlanBuilder {
             sim_clean: OnceLock::new(),
             sim_faulted: Mutex::new(None),
             sim_tiled: Mutex::new(None),
+            shard_model: Mutex::new(None),
         }
     }
 
@@ -543,7 +548,14 @@ pub struct Plan {
     /// Last aggregated tiled simulation, keyed by the tile byte budget
     /// (tile ranges are a pure function of the budget).
     sim_tiled: Mutex<Option<(u64, SimResult)>>,
+    /// Last multi-device shard model, keyed by everything its build
+    /// reads besides the plan: the grid, the ladder knobs, and the
+    /// building context's fault plan (memory, device and link draws).
+    shard_model: Mutex<Option<(ShardKey, Arc<ShardModel>)>>,
 }
+
+/// What a [`ShardModel`] build depends on besides the plan itself.
+type ShardKey = (GridSpec, OocOptions, Option<FaultPlan>);
 
 impl Plan {
     /// Kernel (launch) name.
@@ -615,16 +627,6 @@ impl Plan {
         self.validate_factors(factors)?;
         let _lease = self.lease_full(ctx);
         Ok(self.execute_inner(ctx, factors))
-    }
-
-    /// [`Plan::execute`] for callers that already ran
-    /// [`Plan::validate_factors`]. Validation is context-independent
-    /// (factor shapes against the captured rank), so one up-front check
-    /// covers every replay of the same factors — including ABFT retry
-    /// contexts — and the replay itself is infallible.
-    pub fn execute_validated(&self, ctx: &GpuContext, factors: &[Matrix]) -> GpuRun {
-        let _lease = self.lease_full(ctx);
-        self.execute_inner(ctx, factors)
     }
 
     /// Checks every factor's column count against the captured rank.
@@ -1083,6 +1085,32 @@ impl Plan {
         }
     }
 
+    /// The shard model of this plan on `spec`, reused while the grid, the
+    /// ladder knobs and `ctx`'s fault plan match the last build (see
+    /// `shard_model`) and rebuilt from `ctx` otherwise. Builds are counted
+    /// in `ctx`'s registry as `sharded.model_builds`.
+    pub(crate) fn shard_model(
+        &self,
+        ctx: &GpuContext,
+        spec: &GridSpec,
+        opts: &OocOptions,
+    ) -> Arc<ShardModel> {
+        let key = (spec.clone(), *opts, ctx.faults.clone());
+        let mut cached = self
+            .shard_model
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        match cached.as_ref() {
+            Some((k, model)) if *k == key => Arc::clone(model),
+            _ => {
+                ctx.registry.add("sharded.model_builds", 1);
+                let model = Arc::new(ShardModel::build(ctx, self, spec, opts));
+                *cached = Some((key, Arc::clone(&model)));
+                model
+            }
+        }
+    }
+
     /// Serializes the *replayable* core of the plan (identity + schedule
     /// SoA arrays, little-endian) for the streaming shard store. The
     /// captured instruction stream and footprint are deliberately not
@@ -1157,6 +1185,7 @@ impl Plan {
             sim_clean: OnceLock::new(),
             sim_faulted: Mutex::new(None),
             sim_tiled: Mutex::new(None),
+            shard_model: Mutex::new(None),
         })
     }
 }

@@ -39,7 +39,6 @@ use simprof::FieldValue;
 use sptensor::CooTensor;
 
 use super::common::{GpuContext, GpuRun};
-use super::exec::LaunchError;
 use super::ooc::{self, OocOptions};
 use super::plan::Plan;
 
@@ -197,14 +196,16 @@ fn device_site(device: usize, rung_site: u64) -> u64 {
 /// The captured model of one plan sharded across a grid: shard ranges,
 /// per-device tilings and memory ledgers, per-device simulations, and the
 /// priced all-reduce. Building the model is the expensive phase; cloning
-/// values out of it ([`ShardModel::execute`]) is cheap, so iterative
-/// drivers (CPD-ALS) build one model per mode and replay it every
-/// iteration.
+/// values out of it ([`ShardModel::execute`]) is cheap, so the
+/// [`Executor`](super::Executor) caches the last model on its [`Plan`]
+/// (see [`Plan::shard_model`]) and every further launch of that plan on
+/// the same grid replays it.
 ///
 /// Memory-fault draws happen at build time (the leases are modeled once),
-/// so a model reused across iterations commits to one OOM story — the
+/// so a model reused across launches commits to one OOM story — the
 /// same trade the plan-capture split already makes for structure.
-pub struct ShardModel {
+#[derive(Debug)]
+pub(crate) struct ShardModel {
     spec: GridSpec,
     ranges: Vec<(usize, usize)>,
     device_mems: Vec<Arc<DeviceMemory>>,
@@ -240,7 +241,12 @@ impl ShardModel {
     /// therefore whose value fold — are *exactly* those of a clean run
     /// on that many devices, so the output stays bit-identical. The dead
     /// devices' partial work is charged as wasted compute time.
-    pub fn build(ctx: &GpuContext, plan: &Plan, spec: &GridSpec, opts: &OocOptions) -> ShardModel {
+    pub(crate) fn build(
+        ctx: &GpuContext,
+        plan: &Plan,
+        spec: &GridSpec,
+        opts: &OocOptions,
+    ) -> ShardModel {
         if spec.devices > 1 {
             if let Some(fp) = ctx.device_fault_plan() {
                 let mut lost: Vec<usize> = Vec::new();
@@ -442,31 +448,8 @@ impl ShardModel {
 
     /// Whether a device failed every GPU rung; executing then requires
     /// the COO tensor for the CPU reference fallback.
-    pub fn needs_tensor(&self) -> bool {
+    pub(crate) fn needs_tensor(&self) -> bool {
         self.cpu_fallback
-    }
-
-    /// The shard block ranges, in device order.
-    pub fn ranges(&self) -> &[(usize, usize)] {
-        &self.ranges
-    }
-
-    /// Original device ordinals that dropped out at model build and were
-    /// re-sharded around (empty for a clean model).
-    pub fn lost_devices(&self) -> &[usize] {
-        &self.lost_devices
-    }
-
-    /// Ring links that ran degraded for this model (empty when the fabric
-    /// was clean).
-    pub fn degraded_links(&self) -> &[usize] {
-        &self.degraded_links
-    }
-
-    /// Ring links that were down for this model; non-empty means the grid
-    /// fell back to the bit-exact single-device path.
-    pub fn lost_links(&self) -> &[usize] {
-        &self.lost_links
     }
 
     /// Phase B: produce values. Clean runs fold each shard's block range
@@ -475,19 +458,16 @@ impl ShardModel {
     /// ordinals. Either way the result is bit-identical to
     /// [`Plan::execute`] on one device.
     ///
-    /// Errors with [`LaunchError::TensorRequired`] if the model fell
-    /// back to the CPU reference and no COO tensor was attached.
-    pub fn execute(
+    /// `fallback` is the COO tensor the CPU reference runs on; pass it
+    /// exactly when [`ShardModel::needs_tensor`] holds.
+    pub(crate) fn execute(
         &self,
         ctx: &GpuContext,
         plan: &Plan,
         factors: &[Matrix],
-        tensor: Option<&CooTensor>,
-    ) -> Result<(GpuRun, GridReport), LaunchError> {
-        let run = if self.cpu_fallback {
-            let Some(t) = tensor else {
-                return Err(LaunchError::TensorRequired);
-            };
+        fallback: Option<&CooTensor>,
+    ) -> (GpuRun, GridReport) {
+        let run = if let Some(t) = fallback {
             GpuRun {
                 y: crate::reference::mttkrp(t, factors, plan.mode()),
                 sim: ooc::cpu_fallback_sim(plan),
@@ -642,12 +622,12 @@ impl ShardModel {
             }
             tel.advance_us(canonical_us);
         }
-        Ok((run, self.report()))
+        (run, self.report())
     }
 
     /// The grid report for the current model state (high-water marks are
     /// read from the per-device ledgers at call time).
-    pub fn report(&self) -> GridReport {
+    fn report(&self) -> GridReport {
         let mut shards = self.shards.clone();
         for s in &mut shards {
             s.high_water_bytes = self.device_mems[s.device].high_water();
@@ -805,24 +785,86 @@ fn finish_fit(
     sim
 }
 
-/// One-shot sharded execution: build the model, check the CPU-fallback
-/// precondition, execute. Iterative drivers should hold a [`ShardModel`]
-/// instead of paying the model phase per call.
-pub(crate) fn execute_sharded(
-    ctx: &GpuContext,
-    plan: &Plan,
-    factors: &[Matrix],
-    tensor: Option<&CooTensor>,
-    spec: &GridSpec,
-    opts: &OocOptions,
-) -> Result<(GpuRun, GridReport), LaunchError> {
-    let model = ShardModel::build(ctx, plan, spec, opts);
-    model.execute(ctx, plan, factors, tensor)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu::{Executor, LaunchArgs, ModePlans};
+    use gpu_sim::FaultPlan;
+    use tensor_formats::BcsfOptions;
+
+    /// A profiling context plus one captured mode-1 HB-CSF plan, its
+    /// tensor and factors.
+    fn fixture() -> (GpuContext, CooTensor, Vec<Matrix>, ModePlans) {
+        let ctx = GpuContext::tiny().with_profiling();
+        let t = sptensor::synth::uniform_random(&[12, 14, 16], 600, 31);
+        let factors = crate::reference::random_factors(&t, 4, 5);
+        let plans = ModePlans::build_hbcsf(&ctx, &t, 4, BcsfOptions::default());
+        (ctx, t, factors, plans)
+    }
+
+    fn builds(ctx: &GpuContext) -> u64 {
+        ctx.registry.counter("sharded.model_builds")
+    }
+
+    #[test]
+    fn a_gridded_executor_builds_each_shard_model_once() {
+        let (ctx, t, factors, plans) = fixture();
+        let exec = Executor::new(ctx.clone()).with_grid(GridSpec::new(3, Interconnect::nvlink()));
+        let args = LaunchArgs::new(&factors).with_tensor(&t);
+        let plain = plans.plan(0).execute(&ctx, &factors).unwrap().y;
+        for launch in 1..=4 {
+            let e = exec.execute(plans.plan(0), &args).unwrap();
+            assert_eq!(e.y().data(), plain.data(), "launch {launch} drifted");
+            assert_eq!(e.grid.as_ref().map(|g| g.devices), Some(3));
+            assert_eq!(builds(&ctx), 1, "launch {launch} rebuilt the model");
+        }
+        // Each plan owns its model.
+        exec.execute(plans.plan(1), &args).unwrap();
+        exec.execute(plans.plan(1), &args).unwrap();
+        assert_eq!(builds(&ctx), 2);
+    }
+
+    #[test]
+    fn changing_the_shard_key_rebuilds_the_model() {
+        let (ctx, t, factors, plans) = fixture();
+        let plan = plans.plan(0);
+        let args = LaunchArgs::new(&factors).with_tensor(&t);
+        let grid = |n| GridSpec::new(n, Interconnect::nvlink());
+        let run = |exec: &Executor| exec.execute(plan, &args).unwrap();
+        let three = Executor::new(ctx.clone()).with_grid(grid(3));
+        run(&three);
+        run(&three);
+        assert_eq!(builds(&ctx), 1);
+        // Another device count, interconnect or capacity is another grid.
+        run(&Executor::new(ctx.clone()).with_grid(grid(2)));
+        assert_eq!(builds(&ctx), 2);
+        run(&Executor::new(ctx.clone()).with_grid(GridSpec::new(2, Interconnect::pcie())));
+        assert_eq!(builds(&ctx), 3);
+        run(&Executor::new(ctx.clone()).with_grid(grid(2).with_capacity(1 << 30)));
+        assert_eq!(builds(&ctx), 4);
+        // Only the last model is kept: returning to three devices rebuilds.
+        run(&three);
+        assert_eq!(builds(&ctx), 5);
+        // Other ladder knobs.
+        let shrinks = OocOptions { max_shrinks: 1 };
+        run(&Executor::new(ctx.clone())
+            .with_grid(grid(3))
+            .with_ooc(shrinks));
+        assert_eq!(builds(&ctx), 6);
+        // Another fault plan on the executor's context; its ABFT retry
+        // contexts reuse the executor's model.
+        let faulted = ctx
+            .clone()
+            .with_faults(FaultPlan::parse("bitflip:0.2,oom:0.2", 7).unwrap());
+        let verified = Executor::new(faulted)
+            .with_grid(grid(3))
+            .with_abft(crate::abft::AbftOptions::default());
+        let e = run(&verified);
+        assert!(e.abft.is_some_and(|r| r.attempts > 1), "no ABFT retry ran");
+        assert_eq!(builds(&ctx), 7);
+        run(&verified);
+        assert_eq!(builds(&ctx), 7);
+    }
 
     #[test]
     fn shard_ranges_cover_and_balance() {

@@ -12,8 +12,8 @@
 //!    by and discards the rest. Peak memory: one block.
 //! 2. **Cuts** — the weight prefix feeds the same `shard_ranges` the
 //!    multi-device engine uses, so streaming shards are *exactly* the
-//!    device shards a resident [`ShardModel`](super::ShardModel) would
-//!    carve.
+//!    device shards a resident grid
+//!    ([`Executor::with_grid`](super::Executor::with_grid)) would carve.
 //! 3. **Pass 2 (shards)** — the capture body runs once per shard against
 //!    a shard-filtered builder that keeps only its block range; each
 //!    sealed shard plan is serialized to a [`ShardStore`] on disk and

@@ -40,8 +40,8 @@ pub use abft::{run_verified, AbftOptions, KernelReport};
 pub use checkpoint::{CheckpointError, CheckpointState, CheckpointStore, Scan, WriteOutcome};
 pub use cpd::{
     cpd_als, cpd_als_nonneg, cpd_als_nonneg_profiled, cpd_als_profiled, cpd_als_resilient,
-    cpd_als_resilient_durable, cpd_als_sharded, factor_match_score, CpdOptions, CpdResult,
-    DurableOptions, ResilienceOptions, ResilienceStats,
+    cpd_als_resilient_durable, factor_match_score, CpdOptions, CpdResult, DurableOptions,
+    ResilienceOptions, ResilienceStats,
 };
 pub use reference::mttkrp as mttkrp_reference;
 

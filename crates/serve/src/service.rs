@@ -37,9 +37,7 @@ use std::sync::Arc;
 use dense::Matrix;
 use gpu_sim::DeviceMemory;
 use gpu_sim::Interconnect;
-use mttkrp::gpu::{
-    Executor, GpuContext, GridSpec, KernelKind, LaunchArgs, OocOptions, Plan, ShardModel,
-};
+use mttkrp::gpu::{Executor, GpuContext, GridSpec, KernelKind, LaunchArgs, Plan};
 use mttkrp::{cpd_als, cpd_als_resilient_durable, CpdOptions, DurableOptions, ResilienceOptions};
 use simprof::{CheckpointRecord, FieldValue, Histogram, ServiceRecord, TenantRecord};
 use sptensor::CooTensor;
@@ -572,12 +570,15 @@ impl Service {
                     interconnect: self.cfg.interconnect.clone(),
                     capacity_per_device: self.cfg.capacity_per_device,
                 };
-                let model = ShardModel::build(ctx, plan, &grid, &OocOptions::default());
-                let (run, report) = model.execute(ctx, plan, factors, Some(t)).ok()?;
+                let done = Executor::new(ctx.clone())
+                    .with_grid(grid)
+                    .execute(plan, &LaunchArgs::new(factors).with_tensor(t))
+                    .ok()?;
+                let report = done.grid?;
                 Some((
-                    report.total_seconds.max(run.sim.time_s),
+                    report.total_seconds.max(done.run.sim.time_s),
                     report.lost_devices.len() as u64,
-                    run.y,
+                    done.run.y,
                 ))
             }
             "single-device" => {

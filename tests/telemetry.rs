@@ -14,9 +14,12 @@
 
 use std::sync::Arc;
 
+use mttkrp_repro::dense::Matrix;
 use mttkrp_repro::gpu_sim::Interconnect;
-use mttkrp_repro::mttkrp::cpd::{cpd_als_planned, cpd_als_sharded, CpdOptions, ResilienceOptions};
-use mttkrp_repro::mttkrp::gpu::{GpuContext, GridSpec, ModePlans, OocOptions};
+use mttkrp_repro::mttkrp::cpd::{
+    cpd_als_planned, cpd_als_resilient, CpdOptions, ResilienceOptions,
+};
+use mttkrp_repro::mttkrp::gpu::{Executor, GpuContext, GridSpec, LaunchArgs, ModePlans};
 use mttkrp_repro::simprof::{RingSink, Telemetry, TelemetrySink, EVENT_SCHEMA_VERSION};
 use mttkrp_repro::sptensor::synth::{standin, SynthConfig};
 use mttkrp_repro::sptensor::CooTensor;
@@ -57,15 +60,18 @@ fn run_sharded(t: &CooTensor, devices: usize) -> (Vec<String>, GpuContext) {
     let (ctx, ring) = ring_ctx();
     let plans = ModePlans::build_hbcsf(&ctx, t, opts().rank, BcsfOptions::default());
     let grid = GridSpec::new(devices, Interconnect::parse("nvlink").unwrap());
-    let (res, _, _) = cpd_als_sharded(
+    let exec = Executor::new(ctx.clone()).with_grid(grid);
+    let backend = |factors: &[Matrix], mode: usize| {
+        let args = LaunchArgs::new(factors).with_tensor(t);
+        exec.execute(plans.plan(mode), &args).unwrap().run.y
+    };
+    let (res, _) = cpd_als_resilient(
         t,
         &opts(),
         &ResilienceOptions::default(),
-        &ctx,
-        &plans,
-        &grid,
-        &OocOptions::default(),
+        backend,
         None,
+        Some(&ctx),
     );
     assert_eq!(res.iterations, 3);
     (ring.lines(), ctx)
