@@ -1574,6 +1574,12 @@ fn check_nonneg(t: &CooTensor) -> std::result::Result<(), NegativeEntry> {
     }
 }
 
+/// The `--expect-fit` gate: a `NaN` fit fails it, like any fit below
+/// `min`.
+fn fit_meets(fit: f64, min: f64) -> bool {
+    fit >= min
+}
+
 fn cmd_cpd(args: &[String]) -> Result<()> {
     let path = args.first().ok_or("cpd: missing file")?;
     let t = load(path)?;
@@ -1843,7 +1849,7 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
     // the constrained run against the unconstrained one).
     println!("final_fit_exact {:.15e}", res.final_fit());
     if let Some(min) = expect_fit {
-        if res.final_fit() < min {
+        if !fit_meets(res.final_fit(), min) {
             return Err(format!(
                 "final fit {:.4} below --expect-fit {min}",
                 res.final_fit()
@@ -1927,6 +1933,14 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn expect_fit_rejects_a_nan_fit() {
+        assert!(fit_meets(0.5, 0.2));
+        assert!(fit_meets(0.2, 0.2));
+        assert!(!fit_meets(0.1, 0.2));
+        assert!(!fit_meets(f64::NAN, 0.2));
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! paper's entire motivation.
 //!
 //! Every public driver here (and the streaming driver in `gpu::stream`)
-//! is a thin delegation to one private engine, `als`, generic over four
-//! parts: the MTTKRP backend, the norm source (`‖X‖` plus an
-//! `⟨X, X̃⟩` closure), the update rule (least squares or non-negative
-//! multiplicative), and optional resilience guards. Cross-driver
+//! is a thin delegation to one private engine, `als`, generic over the
+//! MTTKRP backend and given `‖X‖`, the update rule (least squares or
+//! non-negative multiplicative), and optional resilience guards. The
+//! fit's `⟨X, X̃⟩` comes from the last mode's MTTKRP output (Kolda &
+//! Bader 2009), so no iteration re-reads the tensor. Cross-driver
 //! bit-identity holds because there is only one loop to agree with.
 
 use std::convert::Infallible;
@@ -460,14 +461,6 @@ pub(crate) enum Update {
     NonNeg,
 }
 
-/// The data side of the fit: `‖X‖`, and a closure computing `⟨X, X̃⟩`
-/// for given factors and `λ` — a pass over resident values or a stream
-/// over a spill.
-pub(crate) struct Norm<I> {
-    pub(crate) norm_x: f64,
-    pub(crate) inner: I,
-}
-
 /// The self-healing half of [`cpd_als_resilient`]: scrubbing, Tikhonov
 /// fallback, checkpoint/rollback, and (durable runs) on-disk checkpoints
 /// with warm restart. Absent guards cost nothing: no scrub pass, no
@@ -487,8 +480,8 @@ pub(crate) struct Observer<'a> {
     ctx: Option<&'a GpuContext>,
 }
 
-/// A resident run: factors seeded from `t`'s shape, the norm source a
-/// pass over `t`'s values, and an infallible backend.
+/// A resident run: factors seeded from `t`'s shape, `‖X‖` from `t`'s
+/// values, and an infallible backend.
 fn resident(
     t: &CooTensor,
     opts: &CpdOptions,
@@ -502,33 +495,34 @@ fn resident(
         update == Update::LeastSquares || t.values().iter().all(|&v| v >= 0.0),
         "non-negative CPD requires a non-negative tensor"
     );
-    let norm = Norm {
-        norm_x: t
-            .values()
-            .iter()
-            .map(|&v| (v as f64) * (v as f64))
-            .sum::<f64>()
-            .sqrt(),
-        inner: |factors: &[Matrix], lambda: &[f32]| Ok(inner_product(t, factors, lambda)),
-    };
     let factors = random_factors(t, opts.rank, opts.seed);
     let backend = |factors: &[Matrix], mode: usize| Ok::<_, Infallible>(mttkrp(factors, mode));
     let obs = Observer { manifest, ctx };
-    let Ok(out) = als(factors, opts, update, norm, backend, guards, obs);
+    let norm_x = frobenius_norm(t);
+    let Ok(out) = als(factors, opts, update, norm_x, backend, guards, obs);
     out
+}
+
+/// `‖X‖` over `t`'s resident values.
+fn frobenius_norm(t: &CooTensor) -> f64 {
+    t.values()
+        .iter()
+        .map(|&v| (v as f64) * (v as f64))
+        .sum::<f64>()
+        .sqrt()
 }
 
 /// The ALS engine — the only iteration loop in the crate. Starts from
 /// `factors` (or, for a durable run with a valid checkpoint, from the
 /// checkpointed state), sweeps every mode per iteration through
 /// `mttkrp` and `update`, and stops after `opts.max_iters` iterations or
-/// when the fit moves less than `opts.tol`. A backend or norm-source
-/// error aborts the run.
+/// when the fit moves less than `opts.tol`. A backend error aborts the
+/// run.
 pub(crate) fn als<E>(
     mut factors: Vec<Matrix>,
     opts: &CpdOptions,
     update: Update,
-    mut norm: Norm<impl FnMut(&[Matrix], &[f32]) -> Result<f64, E>>,
+    norm_x: f64,
     mut mttkrp: impl FnMut(&[Matrix], usize) -> Result<Matrix, E>,
     mut guards: Option<Guards<'_>>,
     mut obs: Observer<'_>,
@@ -593,6 +587,7 @@ pub(crate) fn als<E>(
         // prefix/suffix partial products across the sweep (Phan et al.
         // 2013) instead of an O(order²) per-iteration refold.
         let mut chain = HadamardChain::new(&grams, opts.rank);
+        let mut y_last = Matrix::zeros(0, opts.rank);
         for mode in 0..order {
             let mttkrp_start = Instant::now();
             let mut y = mttkrp(&factors, mode)?;
@@ -643,11 +638,18 @@ pub(crate) fn als<E>(
             }
             grams[mode] = factors[mode].gram();
             chain.advance(&grams[mode]);
+            if mode == order - 1 {
+                y_last = y;
+            }
         }
         iterations += 1;
 
-        let inner = (norm.inner)(&factors, &lambda)?;
-        let fit = fit_from_inner(inner, &lambda, &grams, norm.norm_x);
+        // Every fit follows a full sweep — a rollback `continue`s into
+        // one and a durable resume restores `fits` from the checkpoint —
+        // so `y_last` is always the MTTKRP against the factors the fit
+        // describes, and no data pass is needed.
+        let inner = inner_from_last_mode(&y_last, &factors[order - 1], &lambda);
+        let fit = fit_from_inner(inner, &lambda, &grams, norm_x);
         fits.push(fit);
         if let Some(m) = obs.manifest.as_deref_mut() {
             m.push_iteration(fit, mode_timings, iter_start.elapsed().as_secs_f64());
@@ -774,39 +776,29 @@ fn note_iteration(ctx: &GpuContext, iteration: usize, fit: f64, start_us: f64) {
     }
 }
 
-/// `⟨X, X̃⟩` over the resident values — the data pass of the fit.
-fn inner_product(t: &CooTensor, factors: &[Matrix], lambda: &[f32]) -> f64 {
-    let mut inner = 0.0f64;
-    let mut prod = vec![0.0f32; lambda.len()];
-    for (z, &val) in t.values().iter().enumerate() {
-        inner += inner_term(factors, lambda, |m| t.mode_indices(m)[z], val, &mut prod);
-    }
-    inner
-}
-
-/// One entry's term of `⟨X, X̃⟩ = Σ_z val_z Σ_r λ_r Π_m Aₘ(i_m, r)`, for
-/// the entry at coordinates `coord(m)`; `prod` is rank-sized scratch.
-/// Shared by the resident and the streamed norm sources, so the two fold
-/// identical terms and their fits agree bit for bit.
-pub(crate) fn inner_term(
-    factors: &[Matrix],
-    lambda: &[f32],
-    coord: impl Fn(usize) -> sptensor::Index,
-    val: f32,
-    prod: &mut [f32],
-) -> f64 {
-    prod.copy_from_slice(lambda);
-    for (m, factor) in factors.iter().enumerate() {
-        for (p, &f) in prod.iter_mut().zip(factor.row(coord(m) as usize)) {
-            *p *= f;
+/// `⟨X, X̃⟩ = Σ_r λ_r Σ_i Y_N(i, r)·A_N(i, r)` from the last mode's
+/// MTTKRP output `Y_N` and its updated factor `A_N`: O(I_N·R) instead of
+/// a pass over every nonzero. Holds for both update rules — least squares
+/// keeps `A_N` normalized with its column norms in `λ`; the non-negative
+/// rule keeps `λ` all ones and `A_N` unnormalized.
+fn inner_from_last_mode(y: &Matrix, a: &Matrix, lambda: &[f32]) -> f64 {
+    let mut cols = vec![0.0f64; lambda.len()];
+    for i in 0..y.rows() {
+        for ((c, &yv), &av) in cols.iter_mut().zip(y.row(i)).zip(a.row(i)) {
+            *c += yv as f64 * av as f64;
         }
     }
-    val as f64 * prod.iter().map(|&p| p as f64).sum::<f64>()
+    cols.iter().zip(lambda).map(|(c, &l)| l as f64 * c).sum()
 }
 
-/// Fit = `1 − ‖X − X̃‖ / ‖X‖` from the norm source's `⟨X, X̃⟩`:
+/// Fit = `1 − ‖X − X̃‖ / ‖X‖` from `⟨X, X̃⟩`:
 /// `‖X − X̃‖² = ‖X‖² − 2⟨X, X̃⟩ + ‖X̃‖²` with
 /// `‖X̃‖² = Σ_{r,s} λ_r λ_s Π_m (AₘᵀAₘ)_{r,s}` from the grams.
+///
+/// A residual below `−1e-3·‖X‖²` is impossible for an exact MTTKRP
+/// (Cauchy–Schwarz; honest f32 rounding stays well inside it) and
+/// means a corrupted `Y_N` inflated `⟨X, X̃⟩`: the fit is `NaN`, which
+/// the guards roll back, instead of a clamped, perfect-looking 1.0.
 fn fit_from_inner(inner: f64, lambda: &[f32], grams: &[Matrix], norm_x: f64) -> f64 {
     let r = lambda.len();
     // ‖X̃‖²
@@ -820,11 +812,58 @@ fn fit_from_inner(inner: f64, lambda: &[f32], grams: &[Matrix], norm_x: f64) -> 
             model_sq += g;
         }
     }
-    let resid_sq = (norm_x * norm_x - 2.0 * inner + model_sq).max(0.0);
     if norm_x == 0.0 {
         return 1.0;
     }
-    1.0 - resid_sq.sqrt() / norm_x
+    let norm_sq = norm_x * norm_x;
+    let resid_sq = norm_sq - 2.0 * inner + model_sq;
+    if resid_sq < -1e-3 * norm_sq {
+        return f64::NAN;
+    }
+    1.0 - resid_sq.max(0.0).sqrt() / norm_x
+}
+
+/// [`fit_from_inner`] with `⟨X, X̃⟩` from an explicit pass over `t`'s
+/// resident values, for `res`'s factors and `λ` — the reference the
+/// last-mode identity is checked against.
+#[cfg(test)]
+pub(crate) fn reference_fit(t: &CooTensor, res: &CpdResult) -> f64 {
+    let mut inner = 0.0f64;
+    for (z, &val) in t.values().iter().enumerate() {
+        for (r, &l) in res.lambda.iter().enumerate() {
+            let mut p = val as f64 * l as f64;
+            for (m, f) in res.factors.iter().enumerate() {
+                p *= f.get(t.mode_indices(m)[z] as usize, r) as f64;
+            }
+            inner += p;
+        }
+    }
+    let grams: Vec<Matrix> = res.factors.iter().map(Matrix::gram).collect();
+    fit_from_inner(inner, &res.lambda, &grams, frobenius_norm(t))
+}
+
+/// Runs `run` stopped after each iteration count up to `max_iters`
+/// (`tol = 0`, so every run is a prefix of the longest) and asserts every
+/// reported fit is within 1e-6 of [`reference_fit`] on `t` for the
+/// factors that run ends with.
+#[cfg(test)]
+pub(crate) fn assert_fits_match_data_pass(
+    t: &CooTensor,
+    max_iters: usize,
+    mut run: impl FnMut(usize) -> CpdResult,
+) {
+    let full = run(max_iters);
+    assert_eq!(full.iterations, max_iters);
+    for k in 1..=max_iters {
+        let res = run(k);
+        assert_eq!(res.fits, full.fits[..k], "runs must be prefixes");
+        let expect = reference_fit(t, &res);
+        assert!(
+            (res.final_fit() - expect).abs() < 1e-6,
+            "iteration {k}: fit {} vs data pass {expect}",
+            res.final_fit()
+        );
+    }
 }
 
 /// Factor match score between two decompositions: greedy one-to-one
@@ -1557,6 +1596,110 @@ mod tests {
             res.final_fit(),
             clean.final_fit()
         );
+    }
+
+    #[test]
+    fn resilient_rolls_back_on_last_mode_corruption() {
+        // `resilient_rolls_back_on_fit_regression`'s corruption moved to
+        // the last mode (call 11: iteration 4, mode 2), whose output the
+        // fit's `⟨X, X̃⟩` is taken from. The inflated inner product must
+        // read as a regression, not as a clamped perfect fit.
+        let t = sptensor::synth::uniform_random(&[10, 12, 14], 400, 31);
+        let opts = CpdOptions {
+            rank: 3,
+            max_iters: 10,
+            tol: 0.0,
+            seed: 33,
+        };
+        let clean = cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m));
+        let calls = std::cell::Cell::new(0usize);
+        let corrupting = |f: &[Matrix], m: usize| {
+            let mut y = reference::mttkrp(&t, f, m);
+            let n = calls.get();
+            calls.set(n + 1);
+            if n == 11 {
+                for (idx, v) in y.data_mut().iter_mut().enumerate() {
+                    if idx % 3 == 0 {
+                        *v *= -30.0;
+                    }
+                }
+            }
+            y
+        };
+        let (res, stats) = cpd_als_resilient(
+            &t,
+            &opts,
+            &ResilienceOptions::default(),
+            corrupting,
+            None,
+            None,
+        );
+        assert!(stats.rollbacks >= 1, "regression must trigger a rollback");
+        assert!(
+            !res.fits.contains(&1.0),
+            "corruption reported as a perfect fit: {:?}",
+            res.fits
+        );
+        assert!(
+            (res.final_fit() - clean.final_fit()).abs() < 0.01,
+            "healed fit {} vs clean {}",
+            res.final_fit(),
+            clean.final_fit()
+        );
+    }
+
+    #[test]
+    fn fit_from_inner_rejects_an_impossible_residual() {
+        let lambda = [1.0f32];
+        let grams = [Matrix::from_vec(1, 1, vec![4.0])];
+        // ‖X‖ = 2, ‖X̃‖² = 4: ⟨X, X̃⟩ = 4 is an exact fit.
+        assert_eq!(fit_from_inner(4.0, &lambda, &grams, 2.0), 1.0);
+        // Rounding-sized overshoot still clamps to a perfect fit...
+        assert_eq!(fit_from_inner(4.0 + 1e-4, &lambda, &grams, 2.0), 1.0);
+        // ...but an inner product Cauchy–Schwarz rules out is NaN.
+        assert!(fit_from_inner(5.0, &lambda, &grams, 2.0).is_nan());
+    }
+
+    #[test]
+    fn least_squares_fits_match_a_data_pass_3way() {
+        let t = sptensor::synth::uniform_random(&[10, 12, 14], 300, 9);
+        assert_fits_match_data_pass(&t, 6, |k| {
+            let opts = CpdOptions {
+                rank: 4,
+                max_iters: k,
+                tol: 0.0,
+                seed: 21,
+            };
+            cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m))
+        });
+    }
+
+    #[test]
+    fn least_squares_fits_match_a_data_pass_4way() {
+        let t = sptensor::synth::uniform_random(&[6, 7, 8, 9], 400, 12);
+        assert_fits_match_data_pass(&t, 6, |k| {
+            let opts = CpdOptions {
+                rank: 3,
+                max_iters: k,
+                tol: 0.0,
+                seed: 5,
+            };
+            cpd_als(&t, &opts, |f, m| reference::mttkrp(&t, f, m))
+        });
+    }
+
+    #[test]
+    fn nonneg_fits_match_a_data_pass() {
+        let t = sptensor::synth::uniform_random(&[8, 9, 10], 250, 13);
+        assert_fits_match_data_pass(&t, 6, |k| {
+            let opts = CpdOptions {
+                rank: 4,
+                max_iters: k,
+                tol: 0.0,
+                seed: 14,
+            };
+            cpd_als_nonneg(&t, &opts, |f, m| reference::mttkrp(&t, f, m))
+        });
     }
 
     #[test]

@@ -45,7 +45,7 @@ use tensor_formats::{BcsfOptions, Csf, Hbcsf};
 use super::common::GpuContext;
 use super::plan::{Plan, PlanBuilder};
 use super::sharded::shard_ranges;
-use crate::cpd::{als, inner_term, CpdOptions, CpdResult, Norm, Observer, Update};
+use crate::cpd::{als, CpdOptions, CpdResult, Observer, Update};
 
 /// On-disk store of serialized shard plans, keyed `(mode, shard)`. Owns a
 /// fresh subdirectory of the root it was created under and removes it on
@@ -192,8 +192,7 @@ pub struct StreamOptions {
     /// Shards per mode — the simulated device count whose `shard_ranges`
     /// cuts bound the resident schedule to `~1/devices` of a mode.
     pub devices: usize,
-    /// Entries per chunk for every streaming pass (format build, norm,
-    /// fit).
+    /// Entries per chunk for every streaming pass (format build, norm).
     pub chunk_nnz: usize,
     /// HB-CSF construction options.
     pub bcsf: BcsfOptions,
@@ -221,53 +220,22 @@ pub struct StreamedCpd {
     pub store_bytes: u64,
 }
 
-/// Feeds the spilled stream to `f` chunk by chunk (with the chunk's entry
-/// count), in merge order — the entry order of the materialized tensor.
-fn for_each_chunk(
-    spill: &SpilledTensor,
-    chunk_nnz: usize,
-    mut f: impl FnMut(&CooChunk, usize),
-) -> TensorResult<()> {
+/// `‖X‖` over the spilled stream, folded in merge order — the entry
+/// order of the materialized tensor, so it equals the resident
+/// computation bit for bit.
+fn stream_norm_x(spill: &SpilledTensor, chunk_nnz: usize) -> TensorResult<f64> {
     let mut stream = spill.stream()?;
     let mut chunk = CooChunk::default();
+    let mut sum = 0.0f64;
     loop {
         let n = stream.next_chunk(chunk_nnz, &mut chunk)?;
         if n == 0 {
-            return Ok(());
+            return Ok(sum.sqrt());
         }
-        f(&chunk, n);
-    }
-}
-
-/// `‖X‖` over the spilled stream, folded in the identical entry order as
-/// the resident computation on the materialized tensor.
-fn stream_norm_x(spill: &SpilledTensor, chunk_nnz: usize) -> TensorResult<f64> {
-    let mut sum = 0.0f64;
-    for_each_chunk(spill, chunk_nnz, |chunk, n| {
         for &v in &chunk.vals[..n] {
             sum += (v as f64) * (v as f64);
         }
-    })?;
-    Ok(sum.sqrt())
-}
-
-/// `⟨X, X̃⟩` over the spilled stream — the resident fit's per-entry
-/// terms, folded in the same order.
-fn stream_inner(
-    spill: &SpilledTensor,
-    chunk_nnz: usize,
-    factors: &[Matrix],
-    lambda: &[f32],
-) -> TensorResult<f64> {
-    let mut inner = 0.0f64;
-    let mut prod = vec![0.0f32; lambda.len()];
-    for_each_chunk(spill, chunk_nnz, |chunk, n| {
-        for i in 0..n {
-            let coord = |m: usize| chunk.coords[m][i];
-            inner += inner_term(factors, lambda, coord, chunk.vals[i], &mut prod);
-        }
-    })?;
-    Ok(inner)
+    }
 }
 
 /// CPD-ALS over a spilled tensor without ever materializing it: per-mode
@@ -317,19 +285,17 @@ pub fn cpd_als_streamed(
     let store_bytes = store.bytes_on_disk();
 
     // ALS phase: the engine behind `cpd_als`, with the MTTKRP served by
-    // sequential shard replay and the fit's inner product streamed off
-    // the spill.
+    // sequential shard replay. The spill is read once more, for `‖X‖`;
+    // the fit takes `⟨X, X̃⟩` from the last mode's replay, so no
+    // iteration reads it.
     let factors = crate::reference::random_factors_for_dims(&dims, rank, opts.cpd.seed);
-    let norm = Norm {
-        norm_x: stream_norm_x(spill, chunk_nnz)?,
-        inner: |factors: &[Matrix], lambda: &[f32]| stream_inner(spill, chunk_nnz, factors, lambda),
-    };
+    let norm_x = stream_norm_x(spill, chunk_nnz)?;
     let replay = |factors: &[Matrix], mode: usize| replay_mode(&store, mode, rank, factors);
     let (result, _) = als(
         factors,
         &opts.cpd,
         Update::LeastSquares,
-        norm,
+        norm_x,
         replay,
         None,
         Observer::default(),
@@ -450,6 +416,34 @@ mod tests {
         assert_eq!(incore.lambda, streamed.result.lambda);
         assert_eq!(incore.factors, streamed.result.factors);
         assert_eq!(streamed.shards_per_mode, vec![3, 3, 3]);
+        drop(spill);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn streamed_fits_match_a_data_pass_over_the_materialized_tensor() {
+        let ctx = GpuContext::tiny();
+        let mut t = uniform_random(&[14, 17, 12], 900, 34);
+        t.sort_by_perm_stable(&identity_perm(3));
+        let dir = tmp("fitref");
+        let opts = IngestOptions::new()
+            .with_policy(DuplicatePolicy::Sum)
+            .with_chunk_nnz(97);
+        let spill = SpilledTensor::ingest(CooSource::new(t.clone()), &opts, &dir).unwrap();
+        crate::cpd::assert_fits_match_data_pass(&t, 4, |k| {
+            let sopts = StreamOptions {
+                cpd: CpdOptions {
+                    rank: 6,
+                    max_iters: k,
+                    tol: 0.0,
+                    seed: 43,
+                },
+                devices: 2,
+                chunk_nnz: 64,
+                bcsf: BcsfOptions::default(),
+            };
+            cpd_als_streamed(&ctx, &spill, &sopts, &dir).unwrap().result
+        });
         drop(spill);
         std::fs::remove_dir_all(&dir).unwrap();
     }
