@@ -35,26 +35,19 @@ use sptensor::stats::ModeStats;
 use sptensor::{io as tio, mode_orientation, CooTensor};
 use tensor_formats::{BcsfOptions, Csf, Csl, Fcoo, Hbcsf, Hicoo, IndexBytes};
 
+mod args;
+use args::{opt, switch, Args, Command, Flag, Kind, MemCapacity};
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("ingest") => cmd_ingest(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
-        Some("convert") => cmd_convert(&args[1..]),
-        Some("mttkrp") => cmd_mttkrp(&args[1..]),
-        Some("cpd") => cmd_cpd(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("calibrate") => cmd_calibrate(&args[1..]),
-        Some("trace-replay") => cmd_trace_replay(&args[1..]),
-        Some("serve-sim") => cmd_serve_sim(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        _ => {
-            usage();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match Args::parse(COMMANDS, &argv) {
+        Ok(args) => args,
+        Err(e) => {
+            eprint!("error: {e}\n{}", usage_for(&argv));
             return ExitCode::from(2);
         }
     };
-    match result {
+    match (args.command.run)(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -63,114 +56,285 @@ fn main() -> ExitCode {
     }
 }
 
-fn usage() {
-    eprintln!("sptk — sparse tensor toolkit");
-    eprintln!("usage:");
-    eprintln!("  sptk gen <dataset> <out> [--nnz N] [--seed S] [--stream]");
-    eprintln!("      --stream generates chunk by chunk straight to a .tns file (bounded");
-    eprintln!("      memory, any size); re-ingesting with the sum policy reproduces the");
-    eprintln!("      non-streamed tensor exactly");
-    eprintln!("  sptk ingest <file> [--rank R] [--iters K] [--devices N] [--chunk-nnz N]");
-    eprintln!("      [--host-budget B] [--policy sum|keep|reject] [--scratch DIR]");
-    eprintln!("      [--profile DIR]");
-    eprintln!("      bounded-memory end-to-end CPD: chunked parse + external-sort spill,");
-    eprintln!("      out-of-core HB-CSF construction, shard-by-shard plan capture to disk");
-    eprintln!("      (--devices shards per mode), streaming ALS; --host-budget B (bytes,");
-    eprintln!("      k/m/g suffix) derates chunk sizes and fails the run if the host peak");
-    eprintln!("      RSS ends above B");
-    eprintln!("  sptk info <file> ");
-    eprintln!("  sptk convert <in> <out>");
-    eprintln!("  sptk mttkrp <file> [--mode N] [--rank R] [--kernel K] [--device p100|v100]");
-    eprintln!("      [--profile DIR] [--devices N] [--interconnect SPEC]");
-    eprintln!("      kernels: hbcsf bcsf csf csl coo fcoo splatt splatt-tiled hicoo dfacto");
-    eprintln!(
-        "  sptk cpd <file> [--rank R] [--iters K] [--nonneg] [--profile DIR] [--expect-fit F]"
-    );
-    eprintln!("      [--devices N] [--interconnect SPEC]");
-    eprintln!("      [--checkpoint-dir DIR [--resume] [--halt-on-crash]]");
-    eprintln!("      --checkpoint-dir writes a versioned, checksummed checkpoint per iteration");
-    eprintln!("      (temp + rename); --resume warm-restarts from the last valid one, scanning");
-    eprintln!("      past torn files; --halt-on-crash makes an injected crash:RATE fault kill");
-    eprintln!("      the run (exit 1) so a shell loop with --resume models process restarts");
-    eprintln!(
-        "  sptk bench plan-replay [--datasets a,b] [--nnz N] [--rank R] [--iters K] \
-         [--min-speedup X] [--out PATH]"
-    );
-    eprintln!("      times emit-every-iteration vs. capture-once-replay CPD and writes JSON");
-    eprintln!(
-        "  sptk bench ingest [--dataset NAME] [--nnz N] [--rank R] [--iters K] \
-         [--devices N] [--chunk-nnz N] [--seed S] [--compare-incore] [--scratch DIR] \
-         [--out PATH]"
-    );
-    eprintln!("      times the streaming pipeline (.tns generation -> spill -> out-of-core");
-    eprintln!("      formats -> sharded capture -> streaming ALS), records the host peak");
-    eprintln!("      RSS against the analytic resident-pipeline floor, and writes");
-    eprintln!("      BENCH_ingest.json; --compare-incore also runs the resident pipeline");
-    eprintln!("      and fails on any fit-trajectory divergence");
-    eprintln!(
-        "  sptk bench replay-fleet [--datasets a,b] [--nnz N] [--rank R] [--iters K] \
-         [--cpd-iters K] [--seed S] [--out PATH] [--baseline PATH] [--tolerance F]"
-    );
-    eprintln!("      times generic vs. rank-specialized replay over the stand-in fleet,");
-    eprintln!("      checks bit-equality, writes BENCH_replay_fleet.json, and (with");
-    eprintln!("      --baseline) fails on any fit mismatch or >tolerance speedup regression");
-    eprintln!("  sptk calibrate [--datasets a,b] [--nnz N] [--rank R] [--seed S] [--out PATH]");
-    eprintln!("      runs all six formats over the stand-in fleet, checks the paper's metric");
-    eprintln!("      orderings (Table II / Figs. 5-8), and writes BENCH_fleet.json");
-    eprintln!("  sptk trace-replay <trace.jsonl>");
-    eprintln!("      replays a --mem-trace file through a cold cache and re-derives L2 rates");
-    eprintln!(
-        "  sptk serve-sim [--tenants N] [--jobs N] [--seed S] [--devices N] [--queue-depth N]"
-    );
-    eprintln!("      [--nnz N] [--rank R] [--arrival-us U] [--deadline-us U] [--timeout-us U]");
-    eprintln!("      [--cpd-frac PCT] [--backoff-us U] [--interconnect SPEC] [--faults SPEC]");
-    eprintln!("      [--mem-capacity B] [--out PATH] [--events PATH] [--profile DIR] [--verify]");
-    eprintln!("      [--expect-shed N] [--expect-device-loss N] [--checkpoint-dir DIR]");
-    eprintln!("      runs a deterministic multi-tenant CPD/MTTKRP service simulation: seeded");
-    eprintln!("      synthetic workload, shared plan cache, admission control with a bounded");
-    eprintln!("      queue, per-job deadlines with a degrading retry ladder, and device-loss");
-    eprintln!("      recovery; prints per-tenant latency percentiles and writes a");
-    eprintln!("      byte-reproducible JSON report with --out");
-    eprintln!("  sptk chaos [--seed S] [--schedules N] [--jobs N] [--devices N] [--dir DIR]");
-    eprintln!("      [--out PATH]");
-    eprintln!("      runs the seeded composed-fault chaos harness: every schedule mixes >=3");
-    eprintln!("      fault kinds (always one interconnect fault and one mid-write crash rate),");
-    eprintln!("      drives a full service workload twice per schedule, runs a crash-restart");
-    eprintln!("      cycle against durable checkpoints, and exits nonzero on any invariant");
-    eprintln!("      violation (untyped terminal state, failed standalone verification,");
-    eprintln!("      unbalanced memory ledger, nondeterministic same-seed passes) or on a");
-    eprintln!("      coverage gap (a fault class that never fired)");
-    eprintln!("  --profile DIR writes trace.json (Perfetto), nvprof_table.txt, counters.json,");
-    eprintln!("      histograms.txt, and (for cpd) manifest.json into DIR; simulated-GPU");
-    eprintln!("      kernels only");
-    eprintln!("  --events PATH streams versioned JSONL telemetry events (kernel launches and");
-    eprintln!("      replays, ladder steps, shard compute, faults, iterations) to PATH");
-    eprintln!("  --mem-trace PATH (mttkrp) records the per-warp L2 address stream to PATH as");
-    eprintln!("      JSONL; --trace-sample N keeps every N-th access (default 1 = replayable");
-    eprintln!("      exactly via sptk trace-replay)");
-    eprintln!("  --faults SPEC [--fault-seed S] injects deterministic faults into simulated-GPU");
-    eprintln!("      kernels with ABFT detection and recovery; SPEC is comma-separated kind:rate");
-    eprintln!("      terms, e.g. bitflip:1e-3,abort:1e-4,straggler:0.05,slowdown:2.5 (or 'none')");
-    eprintln!("  --mem-capacity B caps simulated device memory: bytes with an optional k/m/g");
-    eprintln!("      suffix (e.g. 64m), or a footprint fraction like 0.7x; launches that do not");
-    eprintln!("      fit degrade to out-of-core tiled replay, then to the CPU reference");
-    eprintln!("  --mem-faults SPEC injects allocator faults (oom:RATE, frag:FRAC); shares");
-    eprintln!("      --fault-seed with --faults and may be combined with it");
-    eprintln!("  --expect-tiled (cpd) fails unless at least one launch took the tiled path");
-    eprintln!("  --devices N shards simulated-GPU launches across N modeled devices (weight-");
-    eprintln!("      balanced block ranges, per-device memory, modeled ring all-reduce);");
-    eprintln!("      bit-identical to a single device for any N");
-    eprintln!("  --interconnect SPEC prices the all-reduce: nvlink, pcie, or name:bwGBs:latus");
-    eprintln!("      (e.g. nvlink:25:1.5); default nvlink");
-    eprintln!(
-        "datasets: {}",
-        sptensor::synth::standins()
-            .iter()
-            .map(|s| s.name)
-            .collect::<Vec<_>>()
-            .join(" ")
-    );
+/// What a usage error in `argv` prints: the named command's usage, or
+/// every command's, and the stand-in dataset names.
+fn usage_for(argv: &[String]) -> String {
+    let shown = Command::find(COMMANDS, argv).map_or(COMMANDS, |(c, _)| std::slice::from_ref(c));
+    let datasets: Vec<&str> = sptensor::synth::standins().iter().map(|s| s.name).collect();
+    format!("{}datasets: {}\n", args::usage(shown), datasets.join(" "))
 }
+
+const NNZ: Flag = opt("--nnz", "N", Kind::Count(0));
+const RANK: Flag = opt("--rank", "R", Kind::Count(1));
+const ITERS: Flag = opt("--iters", "K", Kind::Count(0));
+const SEED: Flag = opt("--seed", "S", Kind::Count(0));
+const DEVICES: Flag = opt("--devices", "N", Kind::Count(1));
+const CHUNK_NNZ: Flag = opt("--chunk-nnz", "N", Kind::Count(0));
+const OUT: Flag = opt("--out", "PATH", Kind::Text);
+const SCRATCH: Flag = opt("--scratch", "DIR", Kind::Text);
+const CHECKPOINT_DIR: Flag = opt("--checkpoint-dir", "DIR", Kind::Text);
+const PROFILE: Flag = opt("--profile", "DIR", Kind::Text).help(
+    "writes trace.json (Perfetto), nvprof_table.txt, counters.json, histograms.txt, \
+     and (for cpd) manifest.json into DIR; simulated-GPU kernels only",
+);
+const EVENTS: Flag = opt("--events", "PATH", Kind::Text).help(
+    "streams versioned JSONL telemetry events (kernel launches and replays, ladder \
+     steps, shard compute, faults, iterations) to PATH",
+);
+
+/// The flags the stand-in fleet benchmarks share.
+const FLEET: &[Flag] = &[opt("--datasets", "a,b", Kind::Text), NNZ, RANK, SEED, OUT];
+
+/// The device flags `mttkrp`, `cpd` and `serve-sim` share; see
+/// [`DeviceFlags`].
+const DEVICE_FLAGS: &[Flag] = &[
+    opt("--faults", "SPEC", Kind::Faults).help(
+        "injects deterministic faults into simulated-GPU kernels with ABFT detection and \
+         recovery; SPEC is comma-separated kind:rate terms, e.g. \
+         bitflip:1e-3,abort:1e-4,straggler:0.05,slowdown:2.5 (or 'none')",
+    ),
+    opt("--mem-faults", "SPEC", Kind::Faults).help(
+        "injects allocator faults (oom:RATE, frag:FRAC); shares --fault-seed with --faults \
+         and may be combined with it",
+    ),
+    opt("--fault-seed", "S", Kind::Count(0)),
+    opt("--mem-capacity", "B", Kind::MemCapacity).help(
+        "caps simulated device memory: bytes with an optional k/m/g suffix (e.g. 64m), or a \
+         footprint fraction like 0.7x; launches that do not fit degrade to out-of-core tiled \
+         replay, then to the CPU reference",
+    ),
+    DEVICES.help(
+        "shards simulated-GPU launches across N modeled devices (weight-balanced block \
+         ranges, per-device memory, modeled ring all-reduce); bit-identical to a single \
+         device for any N",
+    ),
+    opt("--interconnect", "SPEC", Kind::Interconnect).help(
+        "prices the all-reduce: nvlink, pcie, or name:bwGBs:latus (e.g. nvlink:25:1.5); \
+         default nvlink",
+    ),
+];
+
+/// Every `sptk` command: what [`Args::parse`] accepts and [`args::usage`]
+/// prints.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "gen",
+        positionals: &["<dataset>", "<out>"],
+        flags: &[&[NNZ, SEED, switch("--stream")]],
+        about: "--stream generates chunk by chunk straight to a .tns file (bounded memory, any \
+                size); re-ingesting with the sum policy reproduces the non-streamed tensor \
+                exactly",
+        run: cmd_gen,
+    },
+    Command {
+        name: "ingest",
+        positionals: &["<file>"],
+        flags: &[&[
+            RANK,
+            ITERS,
+            DEVICES,
+            CHUNK_NNZ,
+            opt("--host-budget", "B", Kind::Bytes),
+            opt("--policy", "", Kind::Choice(&["sum", "keep", "reject"])),
+            SCRATCH,
+            PROFILE,
+        ]],
+        about: "bounded-memory end-to-end CPD: chunked parse + external-sort spill, out-of-core \
+                HB-CSF construction, shard-by-shard plan capture to disk (--devices shards per \
+                mode), streaming ALS; --host-budget B derates chunk sizes and fails the run if \
+                the host peak RSS ends above B",
+        run: cmd_ingest,
+    },
+    Command {
+        name: "info",
+        positionals: &["<file>"],
+        flags: &[],
+        about: "",
+        run: cmd_info,
+    },
+    Command {
+        name: "convert",
+        positionals: &["<in>", "<out>"],
+        flags: &[],
+        about: "",
+        run: cmd_convert,
+    },
+    Command {
+        name: "mttkrp",
+        positionals: &["<file>"],
+        flags: &[
+            &[
+                opt("--mode", "N", Kind::Count(1)),
+                RANK,
+                opt("--kernel", "", Kind::Choice(KERNELS)),
+                opt("--device", "", Kind::Choice(&["p100", "v100"])),
+                PROFILE,
+                EVENTS,
+                opt("--mem-trace", "PATH", Kind::Text)
+                    .help("records the per-warp L2 address stream to PATH as JSONL"),
+                opt("--trace-sample", "N", Kind::Count(1)).help(
+                    "keeps every N-th --mem-trace access (default 1 = replayable exactly via \
+                     sptk trace-replay)",
+                ),
+            ],
+            DEVICE_FLAGS,
+        ],
+        about: "",
+        run: cmd_mttkrp,
+    },
+    Command {
+        name: "cpd",
+        positionals: &["<file>"],
+        flags: &[
+            &[
+                RANK,
+                ITERS,
+                switch("--nonneg"),
+                PROFILE,
+                EVENTS,
+                opt("--expect-fit", "F", Kind::Float),
+                switch("--expect-tiled")
+                    .help("fails unless at least one launch took the tiled path"),
+                CHECKPOINT_DIR,
+                switch("--resume"),
+                switch("--halt-on-crash"),
+            ],
+            DEVICE_FLAGS,
+        ],
+        about: "--checkpoint-dir writes a versioned, checksummed checkpoint per iteration (temp \
+                + rename); --resume warm-restarts from the last valid one, scanning past torn \
+                files; --halt-on-crash makes an injected crash:RATE fault kill the run (exit 1) \
+                so a shell loop with --resume models process restarts",
+        run: cmd_cpd,
+    },
+    Command {
+        name: "bench plan-replay",
+        positionals: &[],
+        flags: &[FLEET, &[ITERS, opt("--min-speedup", "X", Kind::Float)]],
+        about: "times emit-every-iteration vs. capture-once-replay CPD and writes JSON",
+        run: cmd_bench_plan_replay,
+    },
+    Command {
+        name: "bench ingest",
+        positionals: &[],
+        flags: &[&[
+            opt("--dataset", "NAME", Kind::Text),
+            NNZ,
+            RANK,
+            ITERS,
+            DEVICES,
+            CHUNK_NNZ,
+            SEED,
+            switch("--compare-incore"),
+            SCRATCH,
+            OUT,
+        ]],
+        about: "times the streaming pipeline (.tns generation -> spill -> out-of-core formats \
+                -> sharded capture -> streaming ALS), records the host peak RSS against the \
+                analytic resident-pipeline floor, and writes BENCH_ingest.json; \
+                --compare-incore also runs the resident pipeline and fails on any \
+                fit-trajectory divergence",
+        run: cmd_bench_ingest,
+    },
+    Command {
+        name: "bench replay-fleet",
+        positionals: &[],
+        flags: &[
+            FLEET,
+            &[
+                ITERS,
+                opt("--cpd-iters", "K", Kind::Count(0)),
+                opt("--baseline", "PATH", Kind::Text),
+                opt("--tolerance", "F", Kind::Float),
+            ],
+        ],
+        about: "times generic vs. rank-specialized replay over the stand-in fleet, checks \
+                bit-equality, writes BENCH_replay_fleet.json, and (with --baseline) fails on \
+                any fit mismatch or >tolerance speedup regression",
+        run: cmd_bench_replay_fleet,
+    },
+    Command {
+        name: "calibrate",
+        positionals: &[],
+        flags: &[FLEET],
+        about: "runs all six formats over the stand-in fleet, checks the paper's metric \
+                orderings (Table II / Figs. 5-8), and writes BENCH_fleet.json",
+        run: cmd_calibrate,
+    },
+    Command {
+        name: "trace-replay",
+        positionals: &["<trace.jsonl>"],
+        flags: &[],
+        about: "replays a --mem-trace file through a cold cache and re-derives L2 rates",
+        run: cmd_trace_replay,
+    },
+    Command {
+        name: "serve-sim",
+        positionals: &[],
+        flags: &[
+            &[
+                opt("--tenants", "N", Kind::Count(1)),
+                opt("--jobs", "N", Kind::Count(0)),
+                SEED,
+                opt("--queue-depth", "N", Kind::Count(0)),
+                NNZ,
+                RANK,
+                opt("--arrival-us", "U", Kind::Float),
+                opt("--deadline-us", "U", Kind::Float),
+                opt("--timeout-us", "U", Kind::Float),
+                opt("--cpd-frac", "PCT", Kind::Count(0)),
+                opt("--backoff-us", "U", Kind::Float),
+                OUT,
+                EVENTS,
+                PROFILE,
+                switch("--verify"),
+                opt("--expect-shed", "N", Kind::Count(0)),
+                opt("--expect-device-loss", "N", Kind::Count(0)),
+                CHECKPOINT_DIR,
+            ],
+            DEVICE_FLAGS,
+        ],
+        about: "runs a deterministic multi-tenant CPD/MTTKRP service simulation: seeded \
+                synthetic workload, shared plan cache, admission control with a bounded queue, \
+                per-job deadlines with a degrading retry ladder, and device-loss recovery; \
+                prints per-tenant latency percentiles and writes a byte-reproducible JSON \
+                report with --out",
+        run: cmd_serve_sim,
+    },
+    Command {
+        name: "chaos",
+        positionals: &[],
+        flags: &[&[
+            SEED,
+            opt("--schedules", "N", Kind::Count(1)),
+            opt("--jobs", "N", Kind::Count(1)),
+            DEVICES,
+            opt("--dir", "DIR", Kind::Text),
+            OUT,
+        ]],
+        about: "runs the seeded composed-fault chaos harness: every schedule mixes >=3 fault \
+                kinds (always one interconnect fault and one mid-write crash rate), drives a \
+                full service workload twice per schedule, runs a crash-restart cycle against \
+                durable checkpoints, and exits nonzero on any invariant violation (untyped \
+                terminal state, failed standalone verification, unbalanced memory ledger, \
+                nondeterministic same-seed passes) or on a coverage gap (a fault class that \
+                never fired)",
+        run: cmd_chaos,
+    },
+];
+
+const KERNELS: &[&str] = &[
+    "hbcsf",
+    "bcsf",
+    "csf",
+    "csl",
+    "coo",
+    "fcoo",
+    "splatt",
+    "splatt-tiled",
+    "hicoo",
+    "dfacto",
+];
 
 type Result<T> = std::result::Result<T, String>;
 
@@ -211,96 +375,25 @@ fn write_out(args: std::fmt::Arguments<'_>) {
     }
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// Writes a command's JSON report to `out` and says so.
+fn write_report<E: std::fmt::Display>(
+    out: &str,
+    json: std::result::Result<String, E>,
+) -> Result<()> {
+    let json = json.map_err(|e| format!("{out}: {e}"))?;
+    std::fs::write(out, json).map_err(|e| format!("{out}: {e}"))?;
+    println!("wrote {out}");
+    Ok(())
 }
 
-fn flag_parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("{name} wants a number, got '{v}'")),
-    }
+/// The first of `flags` whose condition holds.
+fn first_set<'a>(flags: &[(bool, &'a str)]) -> Option<&'a str> {
+    flags.iter().find(|(set, _)| *set).map(|(_, name)| *name)
 }
 
-/// Parses `--faults SPEC [--mem-faults SPEC] [--fault-seed S]` into one
-/// active plan (or `None` when both flags are absent or spell `none`).
-/// Execution faults (bitflip/abort/straggler) and allocator faults
-/// (oom/frag) share the grammar and the seed; keeping them as separate
-/// flags only documents intent.
-fn parse_faults(args: &[String]) -> Result<Option<FaultPlan>> {
-    let spec = match (flag(args, "--faults"), flag(args, "--mem-faults")) {
-        (None, None) => return Ok(None),
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (Some(a), Some(b)) => format!("{a},{b}"),
-    };
-    let seed = flag_parse(args, "--fault-seed", 0xFA17u64)?;
-    let plan = FaultPlan::parse(&spec, seed).map_err(|e| format!("--faults: {e}"))?;
-    Ok(plan.is_active().then_some(plan))
-}
-
-/// Parses a byte count with an optional `k`/`m`/`g` suffix (`123456`,
-/// `512m`, `2g`).
-fn parse_byte_size(raw: &str, flag_name: &str) -> Result<u64> {
-    let s = raw.trim().to_ascii_lowercase();
-    let bad = || format!("{flag_name} wants bytes (with k/m/g), got '{raw}'");
-    let (digits, mult) = match s.as_bytes().last() {
-        Some(b'k') => (&s[..s.len() - 1], 1u64 << 10),
-        Some(b'm') => (&s[..s.len() - 1], 1u64 << 20),
-        Some(b'g') => (&s[..s.len() - 1], 1u64 << 30),
-        _ => (s.as_str(), 1),
-    };
-    let n: f64 = digits.parse().map_err(|_| bad())?;
-    if !(n.is_finite() && n > 0.0) {
-        return Err(bad());
-    }
-    Ok((n * mult as f64) as u64)
-}
-
-/// A `--mem-capacity` value, before the footprint it may be relative to
-/// is known.
-enum MemCapacity {
-    /// Absolute bytes (`123456`, `64m`, `2g`).
-    Bytes(u64),
-    /// A multiple of the run's worst per-launch footprint (`0.7x`).
-    FootprintFraction(f64),
-}
-
-fn parse_mem_capacity(args: &[String]) -> Result<Option<MemCapacity>> {
-    let Some(raw) = flag(args, "--mem-capacity") else {
-        return Ok(None);
-    };
-    let bad =
-        || format!("--mem-capacity wants bytes (with k/m/g) or a fraction like 0.7x, got '{raw}'");
-    if let Some(frac) = raw.trim().to_ascii_lowercase().strip_suffix('x') {
-        let f: f64 = frac.parse().map_err(|_| bad())?;
-        if !(f.is_finite() && f > 0.0) {
-            return Err(bad());
-        }
-        return Ok(Some(MemCapacity::FootprintFraction(f)));
-    }
-    let bytes = parse_byte_size(&raw, "--mem-capacity").map_err(|_| bad())?;
-    Ok(Some(MemCapacity::Bytes(bytes)))
-}
-
-impl MemCapacity {
-    /// Resolves to bytes against the worst single-launch footprint.
-    fn resolve(&self, worst_footprint: u64) -> u64 {
-        match *self {
-            MemCapacity::Bytes(b) => b,
-            MemCapacity::FootprintFraction(f) => (worst_footprint as f64 * f).ceil() as u64,
-        }
-    }
-}
-
-/// The device flags `sptk mttkrp` and `sptk cpd` share: `--faults`,
-/// `--mem-faults`, `--mem-capacity`, `--devices` and `--interconnect`.
-/// [`DeviceFlags::executor`] turns them into the one [`gpu::Executor`]
-/// every launch of the command goes through.
+/// The device flags `sptk mttkrp`, `sptk cpd` and `sptk serve-sim` share
+/// ([`DEVICE_FLAGS`]). [`DeviceFlags::executor`] turns them into the one
+/// [`gpu::Executor`] every launch of the command goes through.
 struct DeviceFlags {
     faults: Option<FaultPlan>,
     mem_capacity: Option<MemCapacity>,
@@ -309,27 +402,26 @@ struct DeviceFlags {
 }
 
 impl DeviceFlags {
-    /// `--devices` absent means the single-device ladder; the
-    /// interconnect defaults to nvlink.
-    fn parse(args: &[String]) -> Result<DeviceFlags> {
-        let faults = parse_faults(args)?;
-        let mem_capacity = parse_mem_capacity(args)?;
-        let devices = match flag(args, "--devices") {
-            None => None,
-            Some(v) => match v.parse::<usize>() {
-                Ok(0) => return Err("--devices wants at least 1".into()),
-                Ok(n) => Some(n),
-                Err(_) => return Err(format!("--devices wants a count, got '{v}'")),
-            },
-        };
-        let interconnect =
-            Interconnect::parse(&flag(args, "--interconnect").unwrap_or_else(|| "nvlink".into()))
-                .map_err(|e| format!("--interconnect: {e}"))?;
+    /// `--devices` absent means the single-device ladder. Execution
+    /// faults (`--faults`) and allocator faults (`--mem-faults`) share the
+    /// grammar and `--fault-seed`; keeping them as separate flags only
+    /// documents intent, so they form one plan, `None` when inactive.
+    fn new(a: &Args) -> Result<DeviceFlags> {
+        let specs: Vec<&str> = ["--faults", "--mem-faults"]
+            .iter()
+            .filter_map(|f| a.raw(f))
+            .filter(|spec| spec.trim() != "none")
+            .collect();
+        let seed = a.get("--fault-seed").unwrap_or(0xFA17);
+        let plan =
+            FaultPlan::parse(&specs.join(","), seed).map_err(|e| format!("--faults: {e}"))?;
         Ok(DeviceFlags {
-            faults,
-            mem_capacity,
-            devices,
-            interconnect,
+            faults: plan.is_active().then_some(plan),
+            mem_capacity: a.get("--mem-capacity"),
+            devices: a.get("--devices"),
+            interconnect: a
+                .raw("--interconnect")
+                .map_or(Ok(Interconnect::nvlink()), Interconnect::parse)?,
         })
     }
 
@@ -399,21 +491,18 @@ fn print_ladder(mem: &MemReport) {
     }
 }
 
+/// Loads through the typed `TensorSource` ingestion API. `.tns` rejects
+/// duplicate entries; binary files keep entries verbatim, as the `SPT1`
+/// writer stored them.
 fn load(path: &str) -> Result<CooTensor> {
-    load_with(path, &sptensor::IngestOptions::new())
-}
-
-/// Loads through the typed `TensorSource` ingestion API. `.tns` honors the
-/// configured duplicate policy (default: reject); binary files keep entries
-/// verbatim, as the `SPT1` writer stored them.
-fn load_with(path: &str, opts: &sptensor::IngestOptions) -> Result<CooTensor> {
+    let opts = sptensor::IngestOptions::new();
     let t = if path.ends_with(".tns") {
         let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-        sptensor::ingest(sptensor::TnsSource::new(BufReader::new(f)), opts)
+        sptensor::ingest(sptensor::TnsSource::new(BufReader::new(f)), &opts)
             .map_err(|e| format!("{path}: {e}"))?
     } else {
         let src = sptensor::BinSource::open(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
-        let opts = opts.clone().with_policy(sptensor::DuplicatePolicy::Keep);
+        let opts = opts.with_policy(sptensor::DuplicatePolicy::Keep);
         sptensor::ingest(src, &opts).map_err(|e| format!("{path}: {e}"))?
     };
     Ok(t)
@@ -429,17 +518,17 @@ fn save(t: &CooTensor, path: &str) -> Result<()> {
     }
 }
 
-fn cmd_gen(args: &[String]) -> Result<()> {
-    let name = args.first().ok_or("gen: missing dataset name")?;
-    let out = args.get(1).ok_or("gen: missing output path")?;
-    let nnz = flag_parse(args, "--nnz", 200_000usize)?;
-    let seed = flag_parse(args, "--seed", sptensor::synth::SynthConfig::default().seed)?;
-    let stream = args.iter().any(|a| a == "--stream");
+fn cmd_gen(a: &Args) -> Result<()> {
+    let (name, out) = (a.pos(0), a.pos(1));
+    let nnz = a.get("--nnz").unwrap_or(200_000);
+    let seed = a
+        .get("--seed")
+        .unwrap_or(sptensor::synth::SynthConfig::default().seed);
     let spec = sptensor::synth::standin(name).ok_or_else(|| format!("unknown dataset '{name}'"))?;
     let cfg = sptensor::synth::SynthConfig::default()
         .with_nnz(nnz)
         .with_seed(seed);
-    if stream {
+    if a.has("--stream") {
         // Bounded-memory path: raw entries chunk by chunk straight to
         // `.tns`, duplicates included — Sum-policy re-ingestion folds them
         // into exactly the tensor the in-core generator produces.
@@ -450,7 +539,7 @@ fn cmd_gen(args: &[String]) -> Result<()> {
         }
         use sptensor::TensorSource;
         let mut source = spec.source(&cfg);
-        let f = File::create(out.as_str()).map_err(|e| format!("{out}: {e}"))?;
+        let f = File::create(out).map_err(|e| format!("{out}: {e}"))?;
         let mut w = BufWriter::with_capacity(1 << 20, f);
         let mut chunk = sptensor::CooChunk::default();
         let mut written = 0usize;
@@ -482,27 +571,20 @@ fn cmd_gen(args: &[String]) -> Result<()> {
 /// captured shard by shard to disk; every ALS MTTKRP replays the shards
 /// sequentially. `--host-budget` both derates the chunk sizes and gates
 /// the run on the measured host peak RSS (`VmHWM`).
-fn cmd_ingest(args: &[String]) -> Result<()> {
-    let path = args.first().ok_or("ingest: missing file")?;
-    let rank = flag_parse(args, "--rank", 8usize)?;
-    let iters = flag_parse(args, "--iters", 15usize)?;
-    let devices = flag_parse(args, "--devices", 4usize)?;
-    if devices == 0 {
-        return Err("--devices wants at least 1".into());
-    }
-    let host_budget = match flag(args, "--host-budget") {
-        None => None,
-        Some(v) => Some(parse_byte_size(&v, "--host-budget")?),
-    };
-    let policy = match flag(args, "--policy").as_deref() {
-        None | Some("sum") => sptensor::DuplicatePolicy::Sum,
+fn cmd_ingest(a: &Args) -> Result<()> {
+    let path = a.pos(0);
+    let rank = a.get("--rank").unwrap_or(8);
+    let iters = a.get("--iters").unwrap_or(15);
+    let devices = a.get("--devices").unwrap_or(4);
+    let host_budget = a.raw("--host-budget").and_then(args::parse_bytes);
+    let policy = match a.raw("--policy") {
         Some("keep") => sptensor::DuplicatePolicy::Keep,
         Some("reject") => sptensor::DuplicatePolicy::Reject,
-        Some(other) => return Err(format!("--policy wants sum|keep|reject, got '{other}'")),
+        _ => sptensor::DuplicatePolicy::Sum,
     };
-    let profile_dir = flag(args, "--profile").map(PathBuf::from);
-    let (scratch, own_scratch) = match flag(args, "--scratch") {
-        Some(dir) => (PathBuf::from(dir), false),
+    let profile_dir = a.get::<PathBuf>("--profile");
+    let (scratch, own_scratch) = match a.get::<PathBuf>("--scratch") {
+        Some(dir) => (dir, false),
         None => (
             std::env::temp_dir().join(format!("sptk_ingest_{}", std::process::id())),
             true,
@@ -511,11 +593,8 @@ fn cmd_ingest(args: &[String]) -> Result<()> {
     std::fs::create_dir_all(&scratch).map_err(|e| format!("{}: {e}", scratch.display()))?;
 
     let mut iopts = sptensor::IngestOptions::new().with_policy(policy);
-    if let Some(v) = flag(args, "--chunk-nnz") {
-        iopts = iopts.with_chunk_nnz(
-            v.parse()
-                .map_err(|_| format!("--chunk-nnz wants a count, got '{v}'"))?,
-        );
+    if let Some(n) = a.get("--chunk-nnz") {
+        iopts = iopts.with_chunk_nnz(n);
     }
     if let Some(b) = host_budget {
         iopts = iopts.with_host_budget(b);
@@ -620,8 +699,8 @@ fn cmd_ingest(args: &[String]) -> Result<()> {
     Ok(())
 }
 
-fn cmd_info(args: &[String]) -> Result<()> {
-    let path = args.first().ok_or("info: missing file")?;
+fn cmd_info(a: &Args) -> Result<()> {
+    let path = a.pos(0);
     let t = load(path)?;
     println!(
         "{path}: order {}, dims {:?}, {} nonzeros, density {:.3e}",
@@ -673,40 +752,33 @@ fn cmd_info(args: &[String]) -> Result<()> {
     Ok(())
 }
 
-fn cmd_convert(args: &[String]) -> Result<()> {
-    let input = args.first().ok_or("convert: missing input")?;
-    let output = args.get(1).ok_or("convert: missing output")?;
+fn cmd_convert(a: &Args) -> Result<()> {
+    let (input, output) = (a.pos(0), a.pos(1));
     let t = load(input)?;
     save(&t, output)?;
     println!("{input} -> {output} ({} nonzeros)", t.nnz());
     Ok(())
 }
 
-fn cmd_mttkrp(args: &[String]) -> Result<()> {
-    let path = args.first().ok_or("mttkrp: missing file")?;
+fn cmd_mttkrp(a: &Args) -> Result<()> {
+    let path = a.pos(0);
     let t = load(path)?;
-    let mode = flag_parse(args, "--mode", 1usize)? - 1; // 1-based like the paper
+    let mode = a.get("--mode").unwrap_or(1usize) - 1; // 1-based like the paper
     if mode >= t.order() {
         return Err(format!(
             "--mode out of range (tensor has {} modes)",
             t.order()
         ));
     }
-    let rank = flag_parse(args, "--rank", 32usize)?;
-    let kernel = flag(args, "--kernel").unwrap_or_else(|| "hbcsf".into());
-    let device = flag(args, "--device").unwrap_or_else(|| "p100".into());
-    let profile_dir = flag(args, "--profile").map(PathBuf::from);
-    let events_path = flag(args, "--events").map(PathBuf::from);
-    let memtrace_path = flag(args, "--mem-trace").map(PathBuf::from);
-    let trace_sample = flag_parse(args, "--trace-sample", 1u64)?;
-    if trace_sample == 0 {
-        return Err("--trace-sample wants at least 1".into());
-    }
+    let rank = a.get("--rank").unwrap_or(32);
+    let kernel = a.raw("--kernel").unwrap_or("hbcsf");
+    let profile_dir = a.get::<PathBuf>("--profile");
+    let events_path = a.get::<PathBuf>("--events");
+    let memtrace_path = a.get::<PathBuf>("--mem-trace");
     let mut ctx = GpuContext {
-        device: match device.as_str() {
-            "p100" => gpu_sim::DeviceProfile::p100(),
-            "v100" => gpu_sim::DeviceProfile::v100(),
-            other => return Err(format!("unknown device '{other}'")),
+        device: match a.raw("--device") {
+            Some("v100") => gpu_sim::DeviceProfile::v100(),
+            _ => gpu_sim::DeviceProfile::p100(),
         },
         ..GpuContext::default()
     };
@@ -718,281 +790,240 @@ fn cmd_mttkrp(args: &[String]) -> Result<()> {
             simprof::Telemetry::to_file(path).map_err(|e| format!("{}: {e}", path.display()))?;
         ctx = ctx.with_events(Arc::new(tel));
     }
-    let memtrace = memtrace_path
-        .as_ref()
-        .map(|_| Arc::new(gpu_sim::MemTraceRecorder::new(trace_sample)));
+    let memtrace = memtrace_path.as_ref().map(|_| {
+        let sample_every = a.get("--trace-sample").unwrap_or(1);
+        Arc::new(gpu_sim::MemTraceRecorder::new(sample_every))
+    });
     if let Some(rec) = &memtrace {
         ctx = ctx.with_memtrace(Arc::clone(rec));
     }
-    let flags = DeviceFlags::parse(args)?;
+    let flags = DeviceFlags::new(a)?;
     let adaptive = flags.adaptive();
     let factors = random_factors(&t, rank, 42);
     let flops = t.order() as f64 * t.nnz() as f64 * rank as f64;
 
-    if matches!(kernel.as_str(), "coo" | "fcoo" | "dfacto") && t.order() != 3 {
+    if matches!(kernel, "coo" | "fcoo" | "dfacto") && t.order() != 3 {
         return Err(format!(
             "kernel '{kernel}' supports third-order tensors only (this one is order {})",
             t.order()
         ));
     }
 
-    let is_cpu_kernel = matches!(
-        kernel.as_str(),
-        "splatt" | "splatt-tiled" | "hicoo" | "dfacto"
+    if matches!(kernel, "splatt" | "splatt-tiled" | "hicoo" | "dfacto") {
+        let gpu_only = first_set(&[
+            (profile_dir.is_some(), "--profile"),
+            (flags.faults.is_some(), "--faults"),
+            (
+                events_path.is_some() || memtrace_path.is_some(),
+                "--events/--mem-trace",
+            ),
+            (adaptive, "--mem-capacity/--mem-faults"),
+            (flags.devices.is_some(), "--devices"),
+        ]);
+        if let Some(f) = gpu_only {
+            return Err(format!(
+                "{f} supports the simulated GPU kernels only ('{kernel}' is a CPU kernel)"
+            ));
+        }
+        // Each CPU kernel times its MTTKRP alone, not its format build.
+        let (y, secs) = match kernel {
+            "hicoo" => {
+                let h = Hicoo::build(&t, Hicoo::DEFAULT_BLOCK_BITS);
+                timed(|| mttkrp::cpu::hicoo::mttkrp(&h, &factors, mode))
+            }
+            "dfacto" => {
+                let d = mttkrp::cpu::dfacto::Dfacto::build(&t, mode);
+                timed(|| d.mttkrp(&factors))
+            }
+            _ => {
+                let opts = if kernel == "splatt" {
+                    SplattOptions::nontiled()
+                } else {
+                    SplattOptions::tiled()
+                };
+                let s = SplattCsf::build(&t, mode, opts);
+                timed(|| s.mttkrp(&factors))
+            }
+        };
+        println!(
+            "{kernel} (CPU): {:.3} ms wall, {:.2} GFLOPs, ||Y|| = {:.6e}",
+            secs * 1e3,
+            flops / secs / 1e9,
+            y.fro_norm()
+        );
+        return Ok(());
+    }
+    let untraceable = first_set(&[
+        (adaptive, "--mem-capacity/--mem-faults"),
+        (flags.devices.is_some(), "--devices"),
+    ]);
+    if let (Some(f), Some(_)) = (untraceable, &profile_dir) {
+        return Err(format!(
+            "--profile does not combine with {f}: tiled sub-launch and per-device \
+             timelines do not concatenate into one trace"
+        ));
+    }
+    // One typed entry for all six simulated kernels: parse the kind, build
+    // the format, capture the plan, and let the Executor dispatch the
+    // configured ladder.
+    let kind: gpu::KernelKind = kernel.parse().map_err(|e| format!("{e}"))?;
+    let format = gpu::AnyFormat::build(kind, &t, mode, &gpu::BuildOptions::default())
+        .map_err(|e| e.to_string())?;
+    let plan = format.capture(&ctx, rank);
+    let (exec, attach) = flags.executor(ctx, plan.footprint().total_bytes());
+    let ctx = exec.ctx();
+    let largs = gpu::LaunchArgs::new(&factors);
+    let largs = if attach { largs.with_tensor(&t) } else { largs };
+    let execution = exec.execute(&plan, &largs).map_err(|e| e.to_string())?;
+    let run = &execution.run;
+    if let Some(report) = &execution.abft {
+        println!(
+            "faults: {} injected ({} flips landed), {} rows corrupted, {} detected; \
+             {} retries, {} rows recovered, {} degraded to CPU",
+            report.faults_injected,
+            report.flips_applied,
+            report.corrupted_rows.len(),
+            report.detected_rows.len(),
+            report.retries,
+            report.recovered_rows,
+            report.degraded_rows
+        );
+    }
+    if adaptive {
+        for mem in &execution.mem {
+            print_ladder(mem);
+        }
+    }
+    if let Some(g) = &execution.grid {
+        println!(
+            "grid: {} devices over {}, compute {:.3} ms + allreduce {:.3} ms \
+             ({} B on the wire){}",
+            g.devices,
+            g.interconnect,
+            g.compute_seconds * 1e3,
+            g.allreduce_seconds * 1e3,
+            g.allreduce_bytes,
+            if g.cpu_fallback { ", cpu fallback" } else { "" }
+        );
+        for s in &g.shards {
+            println!(
+                "  device {}: blocks [{}, {}), weight {}, {}, {} oom events, \
+                 high water {} B",
+                s.device,
+                s.block_begin,
+                s.block_end,
+                s.weight,
+                if s.in_core {
+                    "in-core".to_string()
+                } else {
+                    format!("{} tiles", s.tiles_run)
+                },
+                s.oom_events,
+                s.high_water_bytes
+            );
+        }
+    }
+    let variant = match (&execution.grid, adaptive) {
+        (Some(g), _) => format!(" x{} sharded", g.devices),
+        (None, true) => ", adaptive".to_string(),
+        _ => String::new(),
+    };
+    println!(
+        "{kernel} (simulated {}{variant}): {:.3} ms, {:.2} GFLOPs, sm_eff {:.1}%, \
+         occ {:.1}%, L2 {:.1}%, {} atomics, ||Y|| = {:.6e}",
+        ctx.device.name,
+        run.sim.time_s * 1e3,
+        flops / run.sim.time_s.max(1e-30) / 1e9,
+        run.sim.sm_efficiency,
+        run.sim.achieved_occupancy,
+        run.sim.l2_hit_rate,
+        run.sim.atomic_ops,
+        run.y.fro_norm()
     );
-    if profile_dir.is_some() && is_cpu_kernel {
-        return Err(format!(
-            "--profile supports the simulated GPU kernels only ('{kernel}' is a CPU kernel)"
-        ));
+    if let Some(dir) = &profile_dir {
+        let profile = run
+            .profile
+            .as_ref()
+            .ok_or("profiling context dropped the per-block profile")?;
+        // Per-output-row atomic charges ride along with the counters.
+        let mut counters = ctx.registry.snapshot_json();
+        counters["atomic_rows"] = serde_json::to_value(&profile.atomic_rows);
+        let trace = gpu_sim::chrome_trace(&run.sim, profile);
+        let rows = [run.sim.metric_row()];
+        write_profile(
+            dir,
+            ctx,
+            trace,
+            "nvprof metrics (simulated)",
+            &rows,
+            counters,
+        )?;
+        println!(
+            "profile: {} (trace.json, nvprof_table.txt, counters.json, histograms.txt)",
+            dir.display()
+        );
     }
-    if flags.faults.is_some() && is_cpu_kernel {
-        return Err(format!(
-            "--faults supports the simulated GPU kernels only ('{kernel}' is a CPU kernel)"
-        ));
+    if let Some(path) = &events_path {
+        ctx.telemetry.flush();
+        println!("events: {}", path.display());
     }
-    if (events_path.is_some() || memtrace_path.is_some()) && is_cpu_kernel {
-        return Err(format!(
-            "--events/--mem-trace record the simulated GPU pipeline only \
-             ('{kernel}' is a CPU kernel)"
-        ));
-    }
-    if adaptive && is_cpu_kernel {
-        return Err(format!(
-            "--mem-capacity/--mem-faults model device memory; '{kernel}' is a CPU kernel"
-        ));
-    }
-    if flags.devices.is_some() && is_cpu_kernel {
-        return Err(format!(
-            "--devices shards the simulated GPU kernels; '{kernel}' is a CPU kernel"
-        ));
-    }
-
-    let checksum = |y: &dense::Matrix| y.fro_norm();
-    match kernel.as_str() {
-        "splatt" | "splatt-tiled" => {
-            let opts = if kernel == "splatt" {
-                SplattOptions::nontiled()
-            } else {
-                SplattOptions::tiled()
-            };
-            let s = SplattCsf::build(&t, mode, opts);
-            let start = Instant::now();
-            let y = s.mttkrp(&factors);
-            let secs = start.elapsed().as_secs_f64();
-            println!(
-                "{kernel} (CPU): {:.3} ms wall, {:.2} GFLOPs, ||Y|| = {:.6e}",
-                secs * 1e3,
-                flops / secs / 1e9,
-                checksum(&y)
-            );
-        }
-        "hicoo" => {
-            let h = Hicoo::build(&t, Hicoo::DEFAULT_BLOCK_BITS);
-            let start = Instant::now();
-            let y = mttkrp::cpu::hicoo::mttkrp(&h, &factors, mode);
-            let secs = start.elapsed().as_secs_f64();
-            println!(
-                "hicoo (CPU): {:.3} ms wall, {:.2} GFLOPs, ||Y|| = {:.6e}",
-                secs * 1e3,
-                flops / secs / 1e9,
-                checksum(&y)
-            );
-        }
-        "dfacto" => {
-            let d = mttkrp::cpu::dfacto::Dfacto::build(&t, mode);
-            let start = Instant::now();
-            let y = d.mttkrp(&factors);
-            let secs = start.elapsed().as_secs_f64();
-            println!(
-                "dfacto (CPU): {:.3} ms wall, {:.2} GFLOPs, ||Y|| = {:.6e}",
-                secs * 1e3,
-                flops / secs / 1e9,
-                checksum(&y)
-            );
-        }
-        gpu_kernel => {
-            // One typed entry for all six simulated kernels: parse the
-            // kind, build the format, capture the plan, and let the
-            // Executor dispatch the configured ladder.
-            let kind: gpu::KernelKind = gpu_kernel.parse().map_err(|e| format!("{e}"))?;
-            let format = gpu::AnyFormat::build(kind, &t, mode, &gpu::BuildOptions::default())
-                .map_err(|e| e.to_string())?;
-            let plan = format.capture(&ctx, rank);
-            if adaptive && profile_dir.is_some() {
-                return Err(
-                    "--profile does not combine with --mem-capacity/--mem-faults: \
-                     tiled sub-launch timelines do not concatenate into one trace"
-                        .into(),
-                );
-            }
-            if flags.devices.is_some() && profile_dir.is_some() {
-                return Err("--profile does not combine with --devices: per-device \
-                     timelines do not concatenate into one trace"
-                    .into());
-            }
-            let (exec, attach) = flags.executor(ctx, plan.footprint().total_bytes());
-            let ctx = exec.ctx();
-            let largs = gpu::LaunchArgs::new(&factors);
-            let largs = if attach { largs.with_tensor(&t) } else { largs };
-            let execution = exec.execute(&plan, &largs).map_err(|e| e.to_string())?;
-            let run = &execution.run;
-            if let Some(report) = &execution.abft {
-                println!(
-                    "faults: {} injected ({} flips landed), {} rows corrupted, {} detected; \
-                     {} retries, {} rows recovered, {} degraded to CPU",
-                    report.faults_injected,
-                    report.flips_applied,
-                    report.corrupted_rows.len(),
-                    report.detected_rows.len(),
-                    report.retries,
-                    report.recovered_rows,
-                    report.degraded_rows
-                );
-            }
-            if adaptive {
-                for mem in &execution.mem {
-                    print_ladder(mem);
-                }
-            }
-            if let Some(g) = &execution.grid {
-                println!(
-                    "grid: {} devices over {}, compute {:.3} ms + allreduce {:.3} ms \
-                     ({} B on the wire){}",
-                    g.devices,
-                    g.interconnect,
-                    g.compute_seconds * 1e3,
-                    g.allreduce_seconds * 1e3,
-                    g.allreduce_bytes,
-                    if g.cpu_fallback { ", cpu fallback" } else { "" }
-                );
-                for s in &g.shards {
-                    println!(
-                        "  device {}: blocks [{}, {}), weight {}, {}, {} oom events, \
-                         high water {} B",
-                        s.device,
-                        s.block_begin,
-                        s.block_end,
-                        s.weight,
-                        if s.in_core {
-                            "in-core".to_string()
-                        } else {
-                            format!("{} tiles", s.tiles_run)
-                        },
-                        s.oom_events,
-                        s.high_water_bytes
-                    );
-                }
-            }
-            let variant = match (&execution.grid, adaptive) {
-                (Some(g), _) => format!(" x{} sharded", g.devices),
-                (None, true) => ", adaptive".to_string(),
-                _ => String::new(),
-            };
-            println!(
-                "{gpu_kernel} (simulated {}{variant}): {:.3} ms, {:.2} GFLOPs, sm_eff {:.1}%, \
-                 occ {:.1}%, L2 {:.1}%, {} atomics, ||Y|| = {:.6e}",
-                ctx.device.name,
-                run.sim.time_s * 1e3,
-                flops / run.sim.time_s.max(1e-30) / 1e9,
-                run.sim.sm_efficiency,
-                run.sim.achieved_occupancy,
-                run.sim.l2_hit_rate,
-                run.sim.atomic_ops,
-                checksum(&run.y)
-            );
-            if let Some(dir) = &profile_dir {
-                let profile = run
-                    .profile
-                    .as_ref()
-                    .ok_or("profiling context dropped the per-block profile")?;
-                write_kernel_profile(dir, ctx, &run.sim, profile)?;
-                println!(
-                    "profile: {} (trace.json, nvprof_table.txt, counters.json, histograms.txt)",
-                    dir.display()
-                );
-            }
-            if let Some(path) = &events_path {
-                ctx.telemetry.flush();
-                println!("events: {}", path.display());
-            }
-            if let (Some(rec), Some(path)) = (&memtrace, &memtrace_path) {
-                rec.write_jsonl(path)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
-                println!(
-                    "mem trace: {} ({} launches, every {} accesses)",
-                    path.display(),
-                    rec.len(),
-                    rec.sample_every()
-                );
-            }
-        }
+    if let (Some(rec), Some(path)) = (&memtrace, &memtrace_path) {
+        rec.write_jsonl(path)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        println!(
+            "mem trace: {} ({} launches, every {} accesses)",
+            path.display(),
+            rec.len(),
+            rec.sample_every()
+        );
     }
     Ok(())
 }
 
-/// Writes one simulated kernel's observability artifacts into `dir`:
-/// a Perfetto-openable Chrome trace, the nvprof-style metric table, and
-/// the registry counters (with per-output-row atomic charges).
-fn write_kernel_profile(
+/// Runs `f`, returning its result and the wall seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64())
+}
+
+/// Writes a simulated run's profile artifacts into `dir`: a
+/// Perfetto-openable Chrome trace, the nvprof-style table of `rows`, the
+/// registry counters in `counters`, and the registry's histograms.
+fn write_profile(
     dir: &Path,
     ctx: &GpuContext,
-    sim: &gpu_sim::SimResult,
-    profile: &gpu_sim::SimProfile,
+    trace: simprof::ChromeTrace,
+    title: &str,
+    rows: &[simprof::MetricRow],
+    counters: serde_json::Value,
 ) -> Result<()> {
     let io_err = |e: std::io::Error| format!("{}: {e}", dir.display());
-    gpu_sim::chrome_trace(sim, profile)
-        .write_to(&dir.join("trace.json"))
-        .map_err(io_err)?;
-    let table = simprof::nvprof_table("nvprof metrics (simulated)", &[sim.metric_row()]);
     std::fs::create_dir_all(dir).map_err(io_err)?;
+    trace.write_to(&dir.join("trace.json")).map_err(io_err)?;
+    let table = simprof::nvprof_table(title, rows);
     std::fs::write(dir.join("nvprof_table.txt"), table).map_err(io_err)?;
-    let mut snapshot = ctx.registry.snapshot_json();
-    snapshot["atomic_rows"] = serde_json::to_value(&profile.atomic_rows);
-    std::fs::write(
-        dir.join("counters.json"),
-        serde_json::to_string_pretty(&snapshot).map_err(|e| format!("counters.json: {e}"))?,
-    )
-    .map_err(io_err)?;
+    let counters =
+        serde_json::to_string_pretty(&counters).map_err(|e| format!("counters.json: {e}"))?;
+    std::fs::write(dir.join("counters.json"), counters).map_err(io_err)?;
     let hists = ctx.registry.histograms();
-    std::fs::write(
-        dir.join("histograms.txt"),
-        simprof::histogram_table("distribution metrics (simulated)", &hists),
-    )
-    .map_err(io_err)?;
-    Ok(())
-}
-
-/// `sptk bench <name>` — the tracked benchmarks, each written as JSON so
-/// CI can archive and gate the perf trajectory.
-fn cmd_bench(args: &[String]) -> Result<()> {
-    match args.first().map(String::as_str) {
-        Some("plan-replay") => cmd_bench_plan_replay(&args[1..]),
-        Some("replay-fleet") => cmd_bench_replay_fleet(&args[1..]),
-        Some("ingest") => cmd_bench_ingest(&args[1..]),
-        other => Err(format!(
-            "bench: unknown benchmark {:?} (available: plan-replay, replay-fleet, ingest)",
-            other.unwrap_or("<missing>")
-        )),
-    }
+    let hists = simprof::histogram_table("distribution metrics (simulated)", &hists);
+    std::fs::write(dir.join("histograms.txt"), hists).map_err(io_err)
 }
 
 /// `sptk bench plan-replay` — the tracked launch-capture benchmark:
 /// CPD-ALS with per-iteration kernel emission vs. capture-once/replay.
-fn cmd_bench_plan_replay(args: &[String]) -> Result<()> {
+fn cmd_bench_plan_replay(a: &Args) -> Result<()> {
     let defaults = bench::plan_replay::PlanReplayConfig::default();
-    let datasets = match flag(args, "--datasets") {
-        Some(csv) => csv.split(',').map(str::to_string).collect(),
-        None => defaults.datasets.clone(),
-    };
     let cfg = bench::plan_replay::PlanReplayConfig {
-        datasets,
-        nnz: flag_parse(args, "--nnz", defaults.nnz)?,
-        rank: flag_parse(args, "--rank", defaults.rank)?,
-        iters: flag_parse(args, "--iters", defaults.iters)?,
-        seed: flag_parse(args, "--seed", defaults.seed)?,
+        datasets: a.list("--datasets").unwrap_or(defaults.datasets),
+        nnz: a.get("--nnz").unwrap_or(defaults.nnz),
+        rank: a.get("--rank").unwrap_or(defaults.rank),
+        iters: a.get("--iters").unwrap_or(defaults.iters),
+        seed: a.get("--seed").unwrap_or(defaults.seed),
     };
-    let min_speedup = flag_parse(args, "--min-speedup", 0.0f64)?;
-    let out = flag(args, "--out").unwrap_or_else(|| "BENCH_plan_replay.json".into());
+    let min_speedup = a.get("--min-speedup").unwrap_or(0.0);
+    let out = a.raw("--out").unwrap_or("BENCH_plan_replay.json");
 
     let doc = bench::plan_replay::run(&cfg)?;
     for r in doc["datasets"].as_array().into_iter().flatten() {
@@ -1019,12 +1050,7 @@ fn cmd_bench_plan_replay(args: &[String]) -> Result<()> {
             r["ooc_fits_match"],
         );
     }
-    std::fs::write(
-        &out,
-        serde_json::to_string_pretty(&doc).map_err(|e| format!("{out}: {e}"))?,
-    )
-    .map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {out}");
+    write_report(out, serde_json::to_string_pretty(&doc))?;
     if !doc["all_fits_match"].as_bool().unwrap_or(false) {
         return Err("plan replay diverged from per-iteration emission".into());
     }
@@ -1043,20 +1069,20 @@ fn cmd_bench_plan_replay(args: &[String]) -> Result<()> {
 /// `sptk bench ingest` — the tracked streaming-ingestion benchmark: the
 /// full bounded-memory pipeline timed end to end, host peak RSS recorded
 /// against the analytic resident-pipeline floor.
-fn cmd_bench_ingest(args: &[String]) -> Result<()> {
+fn cmd_bench_ingest(a: &Args) -> Result<()> {
     let defaults = bench::ingest::IngestConfig::default();
     let cfg = bench::ingest::IngestConfig {
-        dataset: flag(args, "--dataset").unwrap_or(defaults.dataset),
-        nnz: flag_parse(args, "--nnz", defaults.nnz)?,
-        rank: flag_parse(args, "--rank", defaults.rank)?,
-        iters: flag_parse(args, "--iters", defaults.iters)?,
-        devices: flag_parse(args, "--devices", defaults.devices)?,
-        chunk_nnz: flag_parse(args, "--chunk-nnz", defaults.chunk_nnz)?,
-        seed: flag_parse(args, "--seed", defaults.seed)?,
-        compare_incore: args.iter().any(|a| a == "--compare-incore"),
-        scratch: flag(args, "--scratch").map(PathBuf::from),
+        dataset: a.raw("--dataset").map_or(defaults.dataset, str::to_string),
+        nnz: a.get("--nnz").unwrap_or(defaults.nnz),
+        rank: a.get("--rank").unwrap_or(defaults.rank),
+        iters: a.get("--iters").unwrap_or(defaults.iters),
+        devices: a.get("--devices").unwrap_or(defaults.devices),
+        chunk_nnz: a.get("--chunk-nnz").unwrap_or(defaults.chunk_nnz),
+        seed: a.get("--seed").unwrap_or(defaults.seed),
+        compare_incore: a.has("--compare-incore"),
+        scratch: a.get::<PathBuf>("--scratch"),
     };
-    let out = flag(args, "--out").unwrap_or_else(|| "BENCH_ingest.json".into());
+    let out = a.raw("--out").unwrap_or("BENCH_ingest.json");
 
     let doc = bench::ingest::run(&cfg)?;
     let r = &doc["report"];
@@ -1081,12 +1107,7 @@ fn cmd_bench_ingest(args: &[String]) -> Result<()> {
         r["plan_store_bytes"],
         r["final_fit"].as_f64().unwrap_or(0.0),
     );
-    std::fs::write(
-        &out,
-        serde_json::to_string_pretty(&doc).map_err(|e| format!("{out}: {e}"))?,
-    )
-    .map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {out}");
+    write_report(out, serde_json::to_string_pretty(&doc))?;
     if doc["rss_gate"] == "fail" {
         return Err("streaming peak RSS did not beat the in-core pipeline floor".into());
     }
@@ -1097,23 +1118,18 @@ fn cmd_bench_ingest(args: &[String]) -> Result<()> {
 /// replay sweeps (generic vs. const-generic value phase) over the whole
 /// stand-in fleet, with bit-equality checks and an optional regression
 /// gate against a committed baseline JSON.
-fn cmd_bench_replay_fleet(args: &[String]) -> Result<()> {
+fn cmd_bench_replay_fleet(a: &Args) -> Result<()> {
     let defaults = bench::replay_fleet::ReplayFleetConfig::default();
-    let datasets = match flag(args, "--datasets") {
-        Some(csv) => csv.split(',').map(str::to_string).collect(),
-        None => defaults.datasets.clone(),
-    };
     let cfg = bench::replay_fleet::ReplayFleetConfig {
-        datasets,
-        nnz: flag_parse(args, "--nnz", defaults.nnz)?,
-        rank: flag_parse(args, "--rank", defaults.rank)?,
-        iters: flag_parse(args, "--iters", defaults.iters)?,
-        cpd_iters: flag_parse(args, "--cpd-iters", defaults.cpd_iters)?,
-        seed: flag_parse(args, "--seed", defaults.seed)?,
+        datasets: a.list("--datasets").unwrap_or(defaults.datasets),
+        nnz: a.get("--nnz").unwrap_or(defaults.nnz),
+        rank: a.get("--rank").unwrap_or(defaults.rank),
+        iters: a.get("--iters").unwrap_or(defaults.iters),
+        cpd_iters: a.get("--cpd-iters").unwrap_or(defaults.cpd_iters),
+        seed: a.get("--seed").unwrap_or(defaults.seed),
     };
-    let out = flag(args, "--out").unwrap_or_else(|| "BENCH_replay_fleet.json".into());
-    let baseline = flag(args, "--baseline");
-    let tolerance = flag_parse(args, "--tolerance", 0.10f64)?;
+    let out = a.raw("--out").unwrap_or("BENCH_replay_fleet.json");
+    let tolerance = a.get("--tolerance").unwrap_or(0.10);
 
     let doc = bench::replay_fleet::run(&cfg)?;
     for r in doc["datasets"].as_array().into_iter().flatten() {
@@ -1132,17 +1148,12 @@ fn cmd_bench_replay_fleet(args: &[String]) -> Result<()> {
             r["fits_match"],
         );
     }
-    std::fs::write(
-        &out,
-        serde_json::to_string_pretty(&doc).map_err(|e| format!("{out}: {e}"))?,
-    )
-    .map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {out}");
+    write_report(out, serde_json::to_string_pretty(&doc))?;
     if !doc["all_fits_match"].as_bool().unwrap_or(false) {
         return Err("specialized replay diverged from the generic value phase".into());
     }
-    if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(path) = a.raw("--baseline") {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let base: serde_json::Value =
             serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
         let violations = bench::replay_fleet::gate(&doc, &base, tolerance);
@@ -1169,19 +1180,15 @@ fn cmd_bench_replay_fleet(args: &[String]) -> Result<()> {
 /// the full-rate memory-trace replay check, and the encoded Table II /
 /// Figs. 5-8 ordering expectations. Fails (non-zero exit) when any
 /// ordering breaks, so CI catches model drift.
-fn cmd_calibrate(args: &[String]) -> Result<()> {
+fn cmd_calibrate(a: &Args) -> Result<()> {
     let defaults = bench::fleet::FleetConfig::default();
-    let datasets = match flag(args, "--datasets") {
-        Some(csv) => csv.split(',').map(str::to_string).collect(),
-        None => defaults.datasets.clone(),
-    };
     let cfg = bench::fleet::FleetConfig {
-        datasets,
-        nnz: flag_parse(args, "--nnz", defaults.nnz)?,
-        rank: flag_parse(args, "--rank", defaults.rank)?,
-        seed: flag_parse(args, "--seed", defaults.seed)?,
+        datasets: a.list("--datasets").unwrap_or(defaults.datasets),
+        nnz: a.get("--nnz").unwrap_or(defaults.nnz),
+        rank: a.get("--rank").unwrap_or(defaults.rank),
+        seed: a.get("--seed").unwrap_or(defaults.seed),
     };
-    let out = flag(args, "--out").unwrap_or_else(|| "BENCH_fleet.json".into());
+    let out = a.raw("--out").unwrap_or("BENCH_fleet.json");
     let report = bench::fleet::run(&cfg)?;
     println!(
         "{:<10} {:<6} {:>10} {:>8} {:>8} {:>8} {:>8}",
@@ -1229,12 +1236,7 @@ fn cmd_calibrate(args: &[String]) -> Result<()> {
         t.live_hit_rate,
         t.replay_hit_rate
     );
-    std::fs::write(
-        &out,
-        serde_json::to_string_pretty(&report.to_json(&cfg)).map_err(|e| format!("{out}: {e}"))?,
-    )
-    .map_err(|e| format!("{out}: {e}"))?;
-    println!("wrote {out}");
+    write_report(out, serde_json::to_string_pretty(&report.to_json(&cfg)))?;
     if !report.all_pass() {
         return Err("calibration failed: a paper ordering does not hold".into());
     }
@@ -1245,8 +1247,8 @@ fn cmd_calibrate(args: &[String]) -> Result<()> {
 /// through a cold cache and re-derives the L2 statistics from the trace
 /// alone. Full-rate traces (`--trace-sample 1`) must reproduce the live
 /// hit/miss counters exactly; sampled traces report the replayed rate.
-fn cmd_trace_replay(args: &[String]) -> Result<()> {
-    let path = args.first().ok_or("trace-replay: missing trace file")?;
+fn cmd_trace_replay(a: &Args) -> Result<()> {
+    let path = a.pos(0);
     let launches = gpu_sim::memtrace::read_jsonl(Path::new(path))?;
     if launches.is_empty() {
         return Err(format!("{path}: no launches in trace"));
@@ -1284,46 +1286,30 @@ fn cmd_trace_replay(args: &[String]) -> Result<()> {
 /// seeded synthetic workload, shared plan cache, admission control,
 /// deadlines with a degrading retry ladder, device-loss recovery — with
 /// a byte-reproducible report.
-fn cmd_serve_sim(args: &[String]) -> Result<()> {
-    let seed = flag_parse(args, "--seed", 0x5EEDu64)?;
-    let tenants = flag_parse(args, "--tenants", 3usize)?;
-    let jobs = flag_parse(args, "--jobs", 24usize)?;
-    let nnz = flag_parse(args, "--nnz", 4000usize)?;
-    let rank = flag_parse(args, "--rank", 8usize)?;
-    let devices = flag_parse(args, "--devices", 4usize)?;
-    if devices == 0 || tenants == 0 {
-        return Err("serve-sim wants at least 1 device and 1 tenant".into());
-    }
-    let queue_depth = flag_parse(args, "--queue-depth", 8usize)?;
-    let arrival_us = flag_parse(args, "--arrival-us", 200.0f64)?;
-    let deadline_us = flag_parse(args, "--deadline-us", 500_000.0f64)?;
-    let timeout_us = flag_parse(args, "--timeout-us", 100_000.0f64)?;
-    let cpd_frac = flag_parse(args, "--cpd-frac", 25u32)?;
-    let backoff_us = flag_parse(args, "--backoff-us", 50.0f64)?;
-    let interconnect =
-        Interconnect::parse(&flag(args, "--interconnect").unwrap_or_else(|| "nvlink".into()))
-            .map_err(|e| format!("--interconnect: {e}"))?;
-    let faults = parse_faults(args)?;
-    let mem_capacity = parse_mem_capacity(args)?;
-    let expect_shed = flag_parse(args, "--expect-shed", 0u64)?;
-    let expect_loss = flag_parse(args, "--expect-device-loss", 0u64)?;
-    let verify = args.iter().any(|a| a == "--verify");
-    let out = flag(args, "--out");
-    let events_path = flag(args, "--events").map(PathBuf::from);
-    let profile_dir = flag(args, "--profile").map(PathBuf::from);
-    let checkpoint_dir = flag(args, "--checkpoint-dir").map(PathBuf::from);
+fn cmd_serve_sim(a: &Args) -> Result<()> {
+    let seed = a.get("--seed").unwrap_or(0x5EED);
+    let tenants = a.get("--tenants").unwrap_or(3);
+    let jobs = a.get("--jobs").unwrap_or(24);
+    let rank = a.get("--rank").unwrap_or(8);
+    let flags = DeviceFlags::new(a)?;
+    let devices = flags.devices.unwrap_or(4);
+    let events_path = a.get::<PathBuf>("--events");
+    let profile_dir = a.get::<PathBuf>("--profile");
 
     let wl = Workload::generate(&WorkloadConfig {
         seed,
         tenants,
         jobs,
-        nnz,
+        nnz: a.get("--nnz").unwrap_or(4000),
         rank,
-        arrival_mean_us: arrival_us,
-        deadline_us,
-        timeout_us,
+        arrival_mean_us: a.get("--arrival-us").unwrap_or(200.0),
+        deadline_us: a.get("--deadline-us").unwrap_or(500_000.0),
+        timeout_us: a.get("--timeout-us").unwrap_or(100_000.0),
         max_devices: devices,
-        cpd_fraction_pct: cpd_frac,
+        // Any percentage from 100 up makes every job a CPD.
+        cpd_fraction_pct: a
+            .get("--cpd-frac")
+            .map_or(25, |pct: u64| pct.min(100) as u32),
     });
 
     let mut ctx = GpuContext::default().with_profiling();
@@ -1332,13 +1318,13 @@ fn cmd_serve_sim(args: &[String]) -> Result<()> {
             simprof::Telemetry::to_file(path).map_err(|e| format!("{}: {e}", path.display()))?;
         ctx = ctx.with_events(Arc::new(tel));
     }
-    if let Some(plan) = &faults {
+    if let Some(plan) = &flags.faults {
         ctx = ctx.with_faults(plan.clone());
     }
 
     // Fractional --mem-capacity (e.g. 0.7x) resolves against the worst
     // single-plan footprint the catalog implies.
-    let capacity = match &mem_capacity {
+    let capacity = match &flags.mem_capacity {
         None => u64::MAX,
         Some(mc) => mc.resolve(worst_catalog_footprint(&ctx, &wl, rank)?),
     };
@@ -1346,12 +1332,12 @@ fn cmd_serve_sim(args: &[String]) -> Result<()> {
     let mut service = Service::new(
         ServiceConfig {
             devices,
-            interconnect,
+            interconnect: flags.interconnect,
             capacity_per_device: capacity,
-            queue_depth,
-            backoff_base_us: backoff_us,
+            queue_depth: a.get("--queue-depth").unwrap_or(8),
+            backoff_base_us: a.get("--backoff-us").unwrap_or(50.0),
             cpu_slowdown: 25.0,
-            checkpoint_dir,
+            checkpoint_dir: a.get::<PathBuf>("--checkpoint-dir"),
         },
         ctx,
     );
@@ -1401,26 +1387,26 @@ fn cmd_serve_sim(args: &[String]) -> Result<()> {
         );
     }
 
-    if verify {
+    if a.has("--verify") {
         let n = report.verify(&service, &wl.jobs, 1e-9)?;
         println!("verify: {n} completed jobs match standalone execution within 1e-9");
     }
+    let expect_shed = a.get("--expect-shed").unwrap_or(0);
     if rec.shed < expect_shed {
         return Err(format!(
             "expected at least {expect_shed} shed jobs, saw {}",
             rec.shed
         ));
     }
+    let expect_loss = a.get("--expect-device-loss").unwrap_or(0);
     if rec.device_losses < expect_loss {
         return Err(format!(
             "expected at least {expect_loss} device losses, saw {}",
             rec.device_losses
         ));
     }
-    if let Some(out) = &out {
-        let json = report.to_json_string().map_err(|e| format!("{out}: {e}"))?;
-        std::fs::write(out, json).map_err(|e| format!("{out}: {e}"))?;
-        println!("wrote {out}");
+    if let Some(out) = a.raw("--out") {
+        write_report(out, report.to_json_string())?;
     }
     if let Some(dir) = &profile_dir {
         let io_err = |e: std::io::Error| format!("{}: {e}", dir.display());
@@ -1464,22 +1450,18 @@ fn worst_catalog_footprint(ctx: &GpuContext, wl: &Workload, rank: usize) -> Resu
 /// crashes always included) drive full service workloads twice each,
 /// plus a crash-restart cycle against durable checkpoints; exits
 /// nonzero on any invariant violation or coverage gap.
-fn cmd_chaos(args: &[String]) -> Result<()> {
+fn cmd_chaos(a: &Args) -> Result<()> {
     let defaults = chaos::ChaosConfig::default();
     let cfg = chaos::ChaosConfig {
-        seed: flag_parse(args, "--seed", defaults.seed)?,
-        schedules: flag_parse(args, "--schedules", defaults.schedules)?,
-        jobs: flag_parse(args, "--jobs", defaults.jobs)?,
-        devices: flag_parse(args, "--devices", defaults.devices)?,
+        seed: a.get("--seed").unwrap_or(defaults.seed),
+        schedules: a.get("--schedules").unwrap_or(defaults.schedules),
+        jobs: a.get("--jobs").unwrap_or(defaults.jobs),
+        devices: a.get("--devices").unwrap_or(defaults.devices),
         verify_tol: defaults.verify_tol,
     };
-    if cfg.schedules == 0 || cfg.jobs == 0 || cfg.devices == 0 {
-        return Err("chaos wants at least 1 schedule, job, and device".into());
-    }
-    let dir = flag(args, "--dir")
-        .map(PathBuf::from)
+    let dir = a
+        .get::<PathBuf>("--dir")
         .unwrap_or_else(|| std::env::temp_dir().join("sptk-chaos"));
-    let out = flag(args, "--out");
 
     let report = chaos::run_chaos(&cfg, &dir).map_err(|e| e.to_string())?;
 
@@ -1518,10 +1500,8 @@ fn cmd_chaos(args: &[String]) -> Result<()> {
         c.fit_restarted, c.fit_uninterrupted, c.fit_delta, c.within_tol
     );
 
-    if let Some(out) = &out {
-        let json = report.to_json_string().map_err(|e| format!("{out}: {e}"))?;
-        std::fs::write(out, json).map_err(|e| format!("{out}: {e}"))?;
-        println!("wrote {out}");
+    if let Some(out) = a.raw("--out") {
+        write_report(out, report.to_json_string())?;
     }
 
     for v in &report.violations {
@@ -1580,46 +1560,33 @@ fn fit_meets(fit: f64, min: f64) -> bool {
     fit >= min
 }
 
-fn cmd_cpd(args: &[String]) -> Result<()> {
-    let path = args.first().ok_or("cpd: missing file")?;
+fn cmd_cpd(a: &Args) -> Result<()> {
+    let path = a.pos(0);
     let t = load(path)?;
-    let rank = flag_parse(args, "--rank", 8usize)?;
-    let iters = flag_parse(args, "--iters", 15usize)?;
-    let nonneg = args.iter().any(|a| a == "--nonneg");
-    let profile_dir = flag(args, "--profile").map(PathBuf::from);
-    let flags = DeviceFlags::parse(args)?;
-    let expect_fit = match flag(args, "--expect-fit") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<f64>()
-                .map_err(|_| format!("--expect-fit wants a number, got '{v}'"))?,
-        ),
-    };
-    if flags.faults.is_some() && nonneg {
-        return Err(
-            "--faults drives the resilient standard ALS; combine it without --nonneg".into(),
-        );
-    }
-    let expect_tiled = args.iter().any(|a| a == "--expect-tiled");
-    let checkpoint_dir = flag(args, "--checkpoint-dir").map(PathBuf::from);
-    let resume = args.iter().any(|a| a == "--resume");
-    let halt_on_crash = args.iter().any(|a| a == "--halt-on-crash");
+    let rank = a.get("--rank").unwrap_or(8);
+    let iters = a.get("--iters").unwrap_or(15);
+    let nonneg = a.has("--nonneg");
+    let profile_dir = a.get::<PathBuf>("--profile");
+    let flags = DeviceFlags::new(a)?;
+    let expect_tiled = a.has("--expect-tiled");
+    let checkpoint_dir = a.get::<PathBuf>("--checkpoint-dir");
+    let resume = a.has("--resume");
+    let halt_on_crash = a.has("--halt-on-crash");
     if checkpoint_dir.is_none() && (resume || halt_on_crash) {
         return Err("--resume/--halt-on-crash need --checkpoint-dir".into());
     }
     let adaptive = flags.adaptive();
     let devices = flags.devices;
-    if adaptive && nonneg {
-        return Err(
-            "--mem-capacity/--mem-faults drive the adaptive standard ALS; \
-             combine them without --nonneg"
-                .into(),
-        );
-    }
-    if devices.is_some() && nonneg {
-        return Err(
-            "--devices drives the sharded standard ALS; combine it without --nonneg".into(),
-        );
+    let standard_only = first_set(&[
+        (flags.faults.is_some(), "--faults"),
+        (adaptive, "--mem-capacity/--mem-faults"),
+        (devices.is_some(), "--devices"),
+        (checkpoint_dir.is_some(), "--checkpoint-dir"),
+    ]);
+    if let (Some(f), true) = (standard_only, nonneg) {
+        return Err(format!(
+            "{f} drives the standard ALS; combine it without --nonneg"
+        ));
     }
     if expect_tiled && !adaptive {
         return Err("--expect-tiled needs --mem-capacity or --mem-faults".into());
@@ -1629,10 +1596,10 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
              with --devices check the per-device grid lines instead"
             .into());
     }
-    if checkpoint_dir.is_some() && (nonneg || adaptive || devices.is_some()) {
+    if checkpoint_dir.is_some() && (adaptive || devices.is_some()) {
         return Err(
             "--checkpoint-dir drives the durable resilient standard ALS; combine it \
-             without --nonneg, --devices, --mem-capacity, or --mem-faults"
+             without --devices, --mem-capacity, or --mem-faults"
                 .into(),
         );
     }
@@ -1643,7 +1610,7 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
     if profile_dir.is_some() {
         ctx = ctx.with_profiling();
     }
-    if let Some(path) = flag(args, "--events").map(PathBuf::from) {
+    if let Some(path) = a.get::<PathBuf>("--events") {
         let tel =
             simprof::Telemetry::to_file(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         ctx = ctx.with_events(Arc::new(tel));
@@ -1848,7 +1815,7 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
     // Full precision for bit-exactness comparisons across runs (CI diffs
     // the constrained run against the unconstrained one).
     println!("final_fit_exact {:.15e}", res.final_fit());
-    if let Some(min) = expect_fit {
+    if let Some(min) = a.get("--expect-fit") {
         if !fit_meets(res.final_fit(), min) {
             return Err(format!(
                 "final fit {:.4} below --expect-fit {min}",
@@ -1860,7 +1827,27 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
     manifest.events_path = ctx.telemetry.events_path().map(String::from);
     manifest.histograms = ctx.registry.histograms();
     if let Some(dir) = &profile_dir {
-        write_cpd_profile(dir, ctx, &manifest, &last_runs)?;
+        let io_err = |e: std::io::Error| format!("{}: {e}", dir.display());
+        std::fs::create_dir_all(dir).map_err(io_err)?;
+        manifest
+            .write_to(&dir.join("manifest.json"))
+            .map_err(io_err)?;
+        // One Chrome-trace process and one table row per mode's final MTTKRP.
+        let mut trace = simprof::ChromeTrace::new();
+        let mut rows = Vec::new();
+        for (mode, run) in last_runs.iter().enumerate() {
+            let Some(run) = run else { continue };
+            let profile = run
+                .profile
+                .as_ref()
+                .ok_or_else(|| format!("mode {} run lost its per-block profile", mode + 1))?;
+            gpu_sim::append_chrome_trace(&mut trace, mode as u64, &run.sim, profile);
+            let mut row = run.sim.metric_row();
+            row.kernel = format!("{} mode {}", row.kernel, mode + 1);
+            rows.push(row);
+        }
+        let title = "nvprof metrics per mode (simulated, final iteration)";
+        write_profile(dir, ctx, trace, title, &rows, ctx.registry.snapshot_json())?;
         println!(
             "profile: {} (manifest.json, trace.json, nvprof_table.txt, counters.json, \
              histograms.txt)",
@@ -1874,55 +1861,11 @@ fn cmd_cpd(args: &[String]) -> Result<()> {
     Ok(())
 }
 
-/// Writes a CPD run's observability artifacts: the run manifest, one
-/// Chrome-trace process per mode's final MTTKRP, the per-mode nvprof
-/// table, and the aggregated registry counters.
-fn write_cpd_profile(
-    dir: &Path,
-    ctx: &GpuContext,
-    manifest: &simprof::RunManifest,
-    last_runs: &[Option<gpu::GpuRun>],
-) -> Result<()> {
-    let io_err = |e: std::io::Error| format!("{}: {e}", dir.display());
-    manifest
-        .write_to(&dir.join("manifest.json"))
-        .map_err(io_err)?;
-    let mut trace = simprof::ChromeTrace::new();
-    let mut rows = Vec::new();
-    for (mode, run) in last_runs.iter().enumerate() {
-        let Some(run) = run else { continue };
-        let profile = run
-            .profile
-            .as_ref()
-            .ok_or_else(|| format!("mode {} run lost its per-block profile", mode + 1))?;
-        gpu_sim::append_chrome_trace(&mut trace, mode as u64, &run.sim, profile);
-        let mut row = run.sim.metric_row();
-        row.kernel = format!("{} mode {}", row.kernel, mode + 1);
-        rows.push(row);
-    }
-    trace.write_to(&dir.join("trace.json")).map_err(io_err)?;
-    let table = simprof::nvprof_table(
-        "nvprof metrics per mode (simulated, final iteration)",
-        &rows,
-    );
-    std::fs::write(dir.join("nvprof_table.txt"), table).map_err(io_err)?;
-    std::fs::write(
-        dir.join("counters.json"),
-        serde_json::to_string_pretty(&ctx.registry.snapshot_json())
-            .map_err(|e| format!("counters.json: {e}"))?,
-    )
-    .map_err(io_err)?;
-    std::fs::write(
-        dir.join("histograms.txt"),
-        simprof::histogram_table("distribution metrics (simulated)", &manifest.histograms),
-    )
-    .map_err(io_err)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use args::CliError;
+    use proptest::prelude::*;
 
     /// A scratch directory unique to this test process and `tag`.
     fn scratch(tag: &str) -> PathBuf {
@@ -1933,6 +1876,22 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn parse(list: &[&str]) -> std::result::Result<Args, CliError> {
+        Args::parse(COMMANDS, &args(list))
+    }
+
+    fn parsed(list: &[&str]) -> Args {
+        parse(list).unwrap_or_else(|e| panic!("sptk {list:?}: {e}"))
+    }
+
+    /// `--mem-capacity` as `sptk cpd` reads it from `flags`.
+    fn parse_mem_capacity(flags: &[String]) -> Result<Option<MemCapacity>> {
+        let argv = [args(&["cpd", "t.spt"]), flags.to_vec()].concat();
+        Args::parse(COMMANDS, &argv)
+            .map(|a| a.get("--mem-capacity"))
+            .map_err(|e| e.to_string())
     }
 
     #[test]
@@ -1966,7 +1925,7 @@ mod tests {
     #[test]
     fn device_flags_pick_the_rung_and_whether_to_attach_the_tensor() {
         let build = |list: &[&str]| {
-            let flags = DeviceFlags::parse(&args(list)).unwrap();
+            let flags = DeviceFlags::new(&parsed(&[&["cpd", "t.spt"], list].concat())).unwrap();
             flags.executor(GpuContext::default(), 1000)
         };
         let (plain, attach) = build(&[]);
@@ -2006,8 +1965,14 @@ mod tests {
         let mut t = sptensor::synth::uniform_random(&[5, 6, 7], 40, 3);
         t.values_mut()[0] = -1.0;
         save(&t, path.to_str().unwrap()).unwrap();
-        let err = cmd_cpd(&args(&[path.to_str().unwrap(), "--nonneg", "--iters", "2"]))
-            .expect_err("a negative tensor must be refused, not decomposed");
+        let err = cmd_cpd(&parsed(&[
+            "cpd",
+            path.to_str().unwrap(),
+            "--nonneg",
+            "--iters",
+            "2",
+        ]))
+        .expect_err("a negative tensor must be refused, not decomposed");
         assert!(err.contains("non-negative tensor"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -2019,7 +1984,8 @@ mod tests {
         let events = dir.join("ev.jsonl");
         let t = sptensor::synth::uniform_random(&[20, 24, 28], 600, 5);
         save(&t, path.to_str().unwrap()).unwrap();
-        cmd_cpd(&args(&[
+        cmd_cpd(&parsed(&[
+            "cpd",
             path.to_str().unwrap(),
             "--nonneg",
             "--rank",
@@ -2039,5 +2005,274 @@ mod tests {
             .collect();
         assert_eq!(iterations, vec![0, 1, 2]);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn mttkrp_mode_0_is_a_usage_error_not_an_underflow() {
+        let dir = scratch("mode0");
+        let path = dir.join("t.spt");
+        save(
+            &sptensor::synth::uniform_random(&[5, 6, 7], 40, 3),
+            path.to_str().unwrap(),
+        )
+        .unwrap();
+        let path = path.to_str().unwrap();
+        assert_eq!(
+            parse(&["mttkrp", path, "--mode", "0"]).err(),
+            Some(CliError::BadValue("--mode wants at least 1".into()))
+        );
+        cmd_mttkrp(&parsed(&["mttkrp", path, "--mode", "3", "--rank", "4"])).unwrap();
+        let err = cmd_mttkrp(&parsed(&["mttkrp", path, "--mode", "4"])).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rank_0_is_a_usage_error() {
+        for argv in [
+            &["cpd", "t.spt"][..],
+            &["ingest", "t.tns"],
+            &["mttkrp", "t.spt"],
+            &["serve-sim"],
+        ] {
+            assert_eq!(
+                parse(&[argv, &["--rank", "0"]].concat()).err(),
+                Some(CliError::BadValue("--rank wants at least 1".into())),
+                "{argv:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_command_lines_are_typed_usage_errors() {
+        use CliError::*;
+        let cases: &[(&[&str], CliError)] = &[
+            (
+                &["cpd", "t.spt", "--rnak", "4"],
+                UnknownFlag("--rnak".into()),
+            ),
+            (
+                &["mttkrp", "t.spt", "--kernal", "bcsf"],
+                UnknownFlag("--kernal".into()),
+            ),
+            (&["cpd", "t.spt", "--rank"], MissingValue("--rank")),
+            (
+                &["cpd", "t.spt", "--profile", "--iters", "2"],
+                MissingValue("--profile"),
+            ),
+            (
+                &["cpd", "t.spt", "--rank", "4", "--rank", "16"],
+                Repeated("--rank"),
+            ),
+            (
+                &["cpd", "t.spt", "--nonneg", "--nonneg"],
+                Repeated("--nonneg"),
+            ),
+            (
+                &["cpd", "t.spt", "--rank", "four"],
+                BadValue("--rank wants a count, got 'four'".into()),
+            ),
+            (
+                &["cpd", "t.spt", "--expect-fit", "nan"],
+                BadValue("--expect-fit wants a number, got 'nan'".into()),
+            ),
+            (
+                &["ingest", "t.tns", "--policy", "max"],
+                BadValue("--policy wants sum|keep|reject, got 'max'".into()),
+            ),
+            (
+                &["mttkrp", "t.spt", "--trace-sample", "0"],
+                BadValue("--trace-sample wants at least 1".into()),
+            ),
+            (
+                &["cpd", "t.spt", "--devices", "0"],
+                BadValue("--devices wants at least 1".into()),
+            ),
+            (&["cpd"], MissingPositional("<file>")),
+            (&["gen", "darpa"], MissingPositional("<out>")),
+            (&["cpd", "a.spt", "b.spt"], ExtraPositional("b.spt".into())),
+            (
+                &["info", "a.spt", "--rank", "4"],
+                UnknownFlag("--rank".into()),
+            ),
+            (&["cdp", "t.spt"], UnknownCommand("cdp".into())),
+            (&["bench"], UnknownCommand("bench".into())),
+            (&[], UnknownCommand("".into())),
+        ];
+        for (argv, want) in cases {
+            assert_eq!(parse(argv).err().as_ref(), Some(want), "{argv:?}");
+        }
+        for spec in ["garbage:0.1", "device-loss:1.5", "crash:nan"] {
+            let err = parse(&["serve-sim", "--faults", spec]).err();
+            assert!(
+                matches!(&err, Some(BadValue(why)) if why.starts_with("--faults: ")),
+                "{err:?}"
+            );
+        }
+        let err = parse(&["cpd", "t.spt", "--interconnect", "bogus::x"]).err();
+        assert!(
+            matches!(&err, Some(BadValue(why)) if why.starts_with("--interconnect: ")),
+            "{err:?}"
+        );
+        // Positionals and flags mix in any order; `--mem-faults none` adds no plan.
+        let a = parsed(&[
+            "cpd",
+            "--rank",
+            "4",
+            "t.spt",
+            "--faults",
+            "bitflip:1e-3",
+            "--mem-faults",
+            "none",
+        ]);
+        assert_eq!((a.pos(0), a.get::<usize>("--rank")), ("t.spt", Some(4)));
+        assert!(DeviceFlags::new(&a)
+            .unwrap()
+            .faults
+            .is_some_and(|p| !p.has_mem_faults()));
+    }
+
+    #[test]
+    fn tables_declare_each_flag_once_and_usage_lists_every_flag() {
+        let usage = args::usage(COMMANDS);
+        for c in COMMANDS {
+            let names: Vec<&str> = c.flags().map(|f| f.name).collect();
+            for (i, name) in names.iter().enumerate() {
+                assert!(
+                    !names[..i].contains(name),
+                    "sptk {} declares {name} twice",
+                    c.name
+                );
+                assert!(name.starts_with("--"), "sptk {}: {name}", c.name);
+            }
+            let mut section = usage
+                .split(&format!("  sptk {} ", c.name))
+                .nth(1)
+                .unwrap_or("");
+            section = section.split("  sptk ").next().unwrap_or("");
+            for word in c.positionals.iter().copied().chain(names) {
+                assert!(
+                    section.contains(word),
+                    "usage of sptk {} lacks {word}",
+                    c.name
+                );
+            }
+            assert!(args::usage(std::slice::from_ref(c)).contains(&format!("sptk {}", c.name)));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn arbitrary_argv_never_panics(
+            command in 0..=COMMANDS.len(),
+            picks in proptest::collection::vec(0usize..1000, 0..10),
+        ) {
+            let edges = ["", "0", "-1", "1e400", "nan", "0.7x", "--", "x"];
+            let mut pool: Vec<&str> = edges.to_vec();
+            for c in COMMANDS {
+                pool.extend(c.name.split(' '));
+                pool.extend(c.flags().map(|f| f.name));
+            }
+            // Most draws start with a command's words, so flags get parsed.
+            let mut argv: Vec<&str> = COMMANDS
+                .get(command)
+                .map_or(Vec::new(), |c| c.name.split(' ').collect());
+            argv.extend(picks.iter().map(|&i| pool[i % pool.len()]));
+            let argv = args(&argv);
+            let named = Command::find(COMMANDS, &argv).map(|(c, _)| c.name);
+            match Args::parse(COMMANDS, &argv) {
+                Ok(a) => prop_assert_eq!(Some(a.command.name), named),
+                // What `main` prints for a usage error must render too.
+                Err(e) => {
+                    prop_assert!(!e.to_string().is_empty());
+                    prop_assert!(usage_for(&argv).contains("usage:"));
+                }
+            }
+        }
+    }
+
+    /// Every `sptk <command> ...` line in `text`: `\` continuations and
+    /// YAML `>-` folds joined, cut at the first shell operator, lines that
+    /// substitute `$args` skipped.
+    fn sptk_invocations(text: &str) -> Vec<Vec<String>> {
+        let mut logical: Vec<String> = Vec::new();
+        let mut fold_indent: Option<usize> = None;
+        let mut continued = false;
+        for line in text.lines() {
+            let indent = line.len() - line.trim_start().len();
+            let folded = fold_indent.is_some_and(|i| indent > i && !line.trim().is_empty());
+            if !folded {
+                fold_indent = None;
+            }
+            let body = line.trim().trim_end_matches('\\');
+            match logical.last_mut() {
+                Some(last) if folded || continued => *last = format!("{last} {body}"),
+                _ => logical.push(body.to_string()),
+            }
+            continued = line.trim_end().ends_with('\\');
+            if line.trim_end().ends_with(">-") {
+                fold_indent = Some(indent);
+            }
+        }
+        let commands: Vec<&str> = COMMANDS
+            .iter()
+            .filter_map(|c| c.name.split(' ').next())
+            .collect();
+        let mut found = Vec::new();
+        for line in logical
+            .iter()
+            .filter(|l| !l.contains("$args") && !l.starts_with('#'))
+        {
+            let tokens: Vec<&str> = line.split_whitespace().collect();
+            let Some(at) = tokens
+                .iter()
+                .position(|t| t.ends_with("/sptk") || *t == "sptk")
+            else {
+                continue;
+            };
+            let rest = &tokens[at + 1..];
+            let rest = rest.strip_prefix(&["--"][..]).unwrap_or(rest);
+            if !rest.first().is_some_and(|w| commands.contains(w)) {
+                continue;
+            }
+            let end = rest
+                .iter()
+                .position(|t| {
+                    ["|", ">", "2>", ";", "&", "#", ")"]
+                        .iter()
+                        .any(|op| t.starts_with(op))
+                })
+                .unwrap_or(rest.len());
+            found.push(rest[..end].iter().map(|t| t.to_string()).collect());
+        }
+        found
+    }
+
+    #[test]
+    fn ci_and_readme_command_lines_parse() {
+        let readme = include_str!("../../../README.md");
+        // README prose mentions commands in passing; only its code blocks run.
+        let code: String = readme
+            .split("```")
+            .skip(1)
+            .step_by(2)
+            .collect::<Vec<_>>()
+            .join("\n");
+        let ci = include_str!("../../../.github/workflows/ci.yml");
+        for (source, text, at_least) in [("README.md", code.as_str(), 20), ("ci.yml", ci, 30)] {
+            let lines = sptk_invocations(text);
+            assert!(
+                lines.len() >= at_least,
+                "{source}: only {} sptk lines found",
+                lines.len()
+            );
+            for argv in lines {
+                if let Err(e) = Args::parse(COMMANDS, &argv) {
+                    panic!("{source}: sptk {} -> {e}", argv.join(" "));
+                }
+            }
+        }
     }
 }

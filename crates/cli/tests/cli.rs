@@ -1,5 +1,6 @@
 //! End-to-end checks of the `sptk` binary: every rung of the execution
-//! ladder reports the same fit, and a closed stdout is a clean exit.
+//! ladder reports the same fit, a closed stdout is a clean exit, and a
+//! malformed command line is a usage error (exit 2).
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -101,5 +102,46 @@ fn a_closed_stdout_is_a_clean_exit() {
     }
     // The command still ran to completion: its output file is whole.
     assert!(std::fs::metadata(&gen_out).unwrap().len() > 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn usage_errors_exit_2_with_the_command_usage() {
+    let dir = scratch("usage");
+    let cases: [&[&str]; 8] = [
+        &["cpd", "t.spt", "--rnak", "4"],
+        &["cpd", "t.spt", "--rank"],
+        &["cpd", "t.spt", "--rank", "4", "--rank", "16"],
+        &["cpd", "t.spt", "--profile", "p", "--iters"],
+        &["cpd", "t.spt", "--profile", "--iters", "2"],
+        &["cpd", "t.spt", "--rank", "0"],
+        &["mttkrp", "t.spt", "--mode", "0"],
+        &["mttkrp", "t.spt", "--kernal", "bcsf"],
+    ];
+    for args in cases {
+        let out = Command::new(SPTK)
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "sptk {args:?}:\n{stderr}");
+        assert!(stderr.starts_with("error: "), "sptk {args:?}:\n{stderr}");
+        assert!(!stderr.contains("panicked"), "sptk {args:?}:\n{stderr}");
+        // The named command's usage, not every command's.
+        let own = format!("sptk {} <file>", args[0]);
+        assert!(stderr.contains(&own), "sptk {args:?}:\n{stderr}");
+        assert!(!stderr.contains("sptk gen"), "sptk {args:?}:\n{stderr}");
+    }
+    // `--profile --iters 2` once wrote its profile into a directory named
+    // `--iters`.
+    assert!(!dir.join("--iters").exists());
+    // A run-time failure keeps exit 1.
+    let out = Command::new(SPTK)
+        .args(["cpd", "missing.spt"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
     std::fs::remove_dir_all(&dir).unwrap();
 }
